@@ -195,22 +195,59 @@ def _emit(args, mode, field, payload, elapsed):
 # -- corpus running
 
 
+# field -> (type, required) of a corpus record
+_RECORD_FIELDS = {
+    "name": (str, False),
+    "mode": (str, False),
+    "curve": (str, True),
+    "integrand": (str, True),
+    "max_order": (int, False),
+    "expect": (dict, False),
+}
+
+
+def _record_problem(record):
+    """What makes a corpus record unusable, or None."""
+    if not isinstance(record, dict):
+        return f"a record must be a JSON object, got {type(record).__name__}"
+    for key, (kind, required) in _RECORD_FIELDS.items():
+        if key not in record:
+            if required:
+                return f"record field {key!r} is missing"
+            continue
+        value = record[key]
+        # JSON true/false load as bool, which is a subclass of int
+        if not isinstance(value, kind) or isinstance(value, bool):
+            return (
+                f"record field {key!r} must be {kind.__name__}, "
+                f"got {type(value).__name__}"
+            )
+    return None
+
+
 def run_record(record, max_order_default=20):
     """Run one corpus record; never raises, reports errors in the result."""
-    name = record.get("name", "<unnamed>")
-    mode = record.get("mode", "integrate")
-    out = {"name": name, "mode": mode, "status": "ok", "error": None}
+    fields = record if isinstance(record, dict) else {}
+    mode = str(fields.get("mode", "integrate"))
+    out = {
+        "name": str(fields.get("name", "<unnamed>")),
+        "mode": mode,
+        "status": "ok",
+        "error": None,
+    }
+    problem = _record_problem(record)
+    if problem is not None:
+        out["status"] = "error"
+        out["error"] = f"DomainError: {problem}"
+        return out
     try:
         field = field_for(
-            [record.get("curve", ""), record.get("integrand", "")],
-            force_t=(mode == "telescope"),
+            [record["curve"], record["integrand"]], force_t=(mode == "telescope")
         )
         curve = build_curve(record["curve"], field)
         f = build_element(record["integrand"], curve)
         if mode == "telescope":
-            tele = telescope(
-                f, max_order=int(record.get("max_order", max_order_default))
-            )
+            tele = telescope(f, max_order=record.get("max_order", max_order_default))
             out["result"] = {
                 "order": tele.order,
                 "coefficients": [str(c) for c in tele.coeffs],

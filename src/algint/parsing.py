@@ -9,7 +9,9 @@ Grammar (whitespace-insensitive):
 
 Names are maximal letter runs; only x, y and (over QQ(t)) t are defined.
 Error positions are 0-based character offsets.  A binary operator with a
-missing right operand reports the operator's own position.
+missing right operand reports the operator's own position.  Parentheses and
+unary minus signs may nest at most MAX_NESTING deep, so that the recursive
+descent stays far from the interpreter's recursion limit.
 
 The same parser serves both jobs: curves evaluate in the fraction field of
 K(x)[y] (the denominator must be free of y), integrands evaluate directly
@@ -33,6 +35,9 @@ from .rings import (
     x_frac_field,
     x_poly_ring,
 )
+
+
+MAX_NESTING = 100
 
 
 @dataclass(frozen=True)
@@ -96,6 +101,7 @@ class _Parser:
         self.i = 0
         self.names = names
         self.from_int = from_int
+        self.depth = 0
 
     def _peek(self):
         return self.toks[self.i]
@@ -104,6 +110,13 @@ class _Parser:
         tok = self.toks[self.i]
         self.i += 1
         return tok
+
+    def _descend(self, tok):
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise ExprSyntaxError(
+                f"expression nests deeper than {MAX_NESTING} levels", tok.pos
+            )
 
     def _require_operand(self, op_tok):
         nxt = self._peek()
@@ -150,7 +163,10 @@ class _Parser:
         if tok.kind == "op" and tok.value == "-":
             self._next()
             self._require_operand(tok)
-            return -self.factor()
+            self._descend(tok)
+            value = -self.factor()
+            self.depth -= 1
+            return value
         value = self.atom()
         while self._peek().kind == "op" and self._peek().value == "^":
             op = self._next()
@@ -177,7 +193,9 @@ class _Parser:
             except KeyError:
                 raise UnknownVariable(tok.value, tok.pos)
         if tok.kind == "lparen":
+            self._descend(tok)
             value = self.expr()
+            self.depth -= 1
             closing = self._next()
             if closing.kind != "rparen":
                 raise ExprSyntaxError("expected ')'", closing.pos)

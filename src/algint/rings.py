@@ -6,6 +6,22 @@ fixed rings used by the rest of the package are built once at the bottom of
 this module; compare rings with ==, elements carry a reference to their ring.
 
 Degree convention: the zero polynomial has degree -1.
+
+gcd does only the work that can find a factor, cheapest step first:
+
+1. a nonzero constant argument gives 1;
+2. a modular coprimality certificate (Brown, J. ACM 1971) maps both
+   arguments to F_p[z], at a fixed prime and fixed points for t, x and y,
+   and gives 1 when both keep their degree and the images are coprime.
+   The test is one-sided: the image of the resultant is the resultant of
+   the images, so coprime images prove a nonzero resultant, while an
+   undefined image, a lost degree or a nontrivial image gcd proves nothing;
+3. everything else goes to Euclid, the only code that computes a
+   nontrivial gcd.
+
+RatFunc arithmetic keeps every fraction in lowest terms with a monic
+denominator the Henrici way: the operands are already reduced, so only
+the gcds that can cancel something are taken.
 """
 
 from __future__ import annotations
@@ -120,9 +136,6 @@ class Poly:
 
     def __bool__(self):
         return bool(self.coeffs)
-
-    def is_constant(self):
-        return len(self.coeffs) <= 1
 
     def __eq__(self, other):
         if isinstance(other, Poly):
@@ -262,13 +275,6 @@ class Poly:
     def map_coeffs(self, fn, new_ring):
         return Poly(new_ring, tuple(fn(c) for c in self.coeffs))
 
-    def eval(self, point):
-        point = self.ring.coeff.coerce(point)
-        acc = self.ring.coeff.zero
-        for c in reversed(self.coeffs):
-            acc = acc * point + c
-        return acc
-
     def coeff(self, k):
         if 0 <= k < len(self.coeffs):
             return self.coeffs[k]
@@ -381,7 +387,12 @@ class RatFunc:
     """Reduced fraction of polynomials; denominator monic and nonzero.
 
     Instances are built through FracField.of; the raw constructor trusts its
-    arguments to already be normalized.
+    arguments to already be normalized.  Arithmetic keeps that invariant the
+    Henrici way (Knuth, TAOCP 2, 4.5.1): since both operands are already in
+    lowest terms, only gcds that can find a factor are taken -- gcd(b, d)
+    and gcd(n, gcd(b, d)) for a sum, the two cross gcds for a product --
+    and the result is built directly, in the same canonical form that
+    FracField.of would give.
     """
 
     __slots__ = ("field", "num", "den")
@@ -416,9 +427,19 @@ class RatFunc:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return self.field.of(
-            self.num * other.den + other.num * self.den, self.den * other.den
-        )
+        a, b, c, d = self.num, self.den, other.num, other.den
+        g = gcd(b, d)
+        if g.degree == 0:
+            n = a * d + c * b
+            return RatFunc(self.field, n, b * d) if n else self.field.zero
+        b, d = b.exact_div(g), d.exact_div(g)
+        n = a * d + c * b
+        if not n:
+            return self.field.zero
+        h = gcd(n, g)
+        if h.degree > 0:
+            n, g = n.exact_div(h), g.exact_div(h)
+        return RatFunc(self.field, n, b * d * g)
 
     __radd__ = __add__
 
@@ -441,7 +462,15 @@ class RatFunc:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return self.field.of(self.num * other.num, self.den * other.den)
+        a, b, c, d = self.num, self.den, other.num, other.den
+        if not a or not c:
+            return self.field.zero
+        g1, g2 = gcd(a, d), gcd(c, b)
+        if g1.degree > 0:
+            a, d = a.exact_div(g1), d.exact_div(g1)
+        if g2.degree > 0:
+            c, b = c.exact_div(g2), b.exact_div(g2)
+        return RatFunc(self.field, a * c, b * d)
 
     __rmul__ = __mul__
 
@@ -451,7 +480,10 @@ class RatFunc:
             return NotImplemented
         if not other:
             raise DomainError("division by zero")
-        return self.field.of(self.num * other.den, self.den * other.num)
+        n, d = other.den, other.num
+        if d.lc != self.field.ring.coeff.one:
+            n, d = n / d.lc, d / d.lc
+        return self * RatFunc(self.field, n, d)
 
     def __rtruediv__(self, other):
         other = self._coerce(other)
@@ -464,7 +496,7 @@ class RatFunc:
             raise DomainError("fraction power must be an int")
         if k < 0:
             return (self.field.one / self) ** (-k)
-        return self.field.of(self.num**k, self.den**k)
+        return RatFunc(self.field, self.num**k, self.den**k)
 
     def derivative(self):
         n, d = self.num, self.den
@@ -500,7 +532,15 @@ class RatFunc:
 
 
 def gcd(p, q):
-    """Monic gcd of two polynomials; gcd(0, 0) is 0."""
+    """Monic gcd of two polynomials; gcd(0, 0) is 0.
+
+    A constant argument or a modular certificate answers 1 without Euclid;
+    see the module docstring.
+    """
+    if not p or not q:
+        return p.monic() if p else q.monic()
+    if p.degree == 0 or q.degree == 0 or _coprime_mod(p, q):
+        return p.ring.one
     while q:
         p, q = q, (p % q)
         if q:
@@ -508,15 +548,72 @@ def gcd(p, q):
     return p.monic() if p else p
 
 
-def gcd_many(polys):
-    it = iter(polys)
-    try:
-        g = next(it)
-    except StopIteration:
-        raise DomainError("gcd of an empty collection")
-    for p in it:
-        g = gcd(g, p)
-    return g.monic() if g else g
+# The modular coprimality certificate.  Each coefficient of the tower has an
+# image in Z/_PRIME: a Fraction n/d maps to n * d^-1, a polynomial is
+# evaluated by Horner at the fixed point of its variable, and a fraction of
+# polynomials maps to num * den^-1.  Where every image is defined, this is
+# the residue map of the local ring of Z[t, x, y] at the maximal ideal
+# (_PRIME, t - t0, x - x0, y - y0), a ring homomorphism.  The Sylvester
+# resultant is a polynomial in the coefficients, so when neither leading
+# coefficient maps to 0 the image of res(p, q) is the resultant of the
+# images, and coprime images prove res(p, q) != 0, that is gcd(p, q) = 1.
+
+_PRIME = 2**61 - 1
+_POINTS = {"t": 1_234_567_891_011, "x": 987_654_321_123, "y": 555_555_555_557}
+
+
+def _image(c):
+    """The residue of a tower element modulo _PRIME, or None if undefined."""
+    if isinstance(c, Fraction):
+        d = c.denominator % _PRIME
+        return c.numerator * pow(d, -1, _PRIME) % _PRIME if d else None
+    if isinstance(c, Poly):
+        point = _POINTS[c.ring.var]
+        acc = 0
+        for a in reversed(c.coeffs):
+            a = _image(a)
+            if a is None:
+                return None
+            acc = (acc * point + a) % _PRIME
+        return acc
+    n, d = _image(c.num), _image(c.den)
+    if n is None or not d:
+        return None
+    return n * pow(d, -1, _PRIME) % _PRIME
+
+
+def _image_coeffs(p):
+    """Images of the coefficients of p with the leading one nonzero, or None."""
+    out = []
+    for c in p.coeffs:
+        c = _image(c)
+        if c is None:
+            return None
+        out.append(c)
+    return out if out[-1] else None
+
+
+def _coprime_mod(p, q):
+    """True only if gcd(p, q) = 1 is certified by the images of p and q."""
+    a, b = _image_coeffs(p), _image_coeffs(q)
+    if a is None or b is None:
+        return False
+    # Euclid in F_p[z] on ascending coefficient lists without leading zeros
+    while len(b) > 1:
+        inv = pow(b[-1], -1, _PRIME)
+        nb = len(b)
+        while len(a) >= nb:
+            c = a[-1] * inv % _PRIME
+            shift = len(a) - nb
+            for j in range(nb - 1):
+                a[shift + j] = (a[shift + j] - c * b[j]) % _PRIME
+            a.pop()
+            while a and not a[-1]:
+                a.pop()
+        if not a:
+            return False
+        a, b = b, a
+    return True
 
 
 def lcm(p, q):

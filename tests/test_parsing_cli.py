@@ -1,5 +1,6 @@
 """Expression grammar, round-trip printing, and the command-line surface."""
 import json
+import pathlib
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -239,6 +240,66 @@ def test_run_record_captures_errors():
     out = run_record(rec)
     assert out["status"] == "error"
     assert out["error"]
+
+
+@pytest.mark.parametrize(
+    "record, message",
+    [
+        ({"name": "no-curve", "integrand": "1/y"}, "'curve' is missing"),
+        (
+            {"name": "bad-order", "mode": "telescope", "curve": "y^2 - x - t",
+             "integrand": "1/y", "max_order": "abc"},
+            "'max_order' must be int",
+        ),
+        (
+            {"name": "deep", "curve": "y^2 - x",
+             "integrand": "(" * 3000 + "x" + ")" * 3000},
+            "nests deeper than",
+        ),
+    ],
+    ids=["missing-curve", "max-order-not-int", "deep-nesting"],
+)
+def test_run_record_contains_bad_records(record, message):
+    out = run_record(record)
+    assert out["status"] == "error"
+    assert message in out["error"]
+    assert out["name"] == record["name"]
+
+
+def test_parser_depth_bound_is_a_syntax_error(parabola, capsys):
+    assert build_element("-" * 50 + "(" * 50 + "x" + ")" * 50, parabola)
+    with pytest.raises(ExprSyntaxError):
+        build_element("-" * 3000 + "x", parabola)
+    rc = main(["integrate", "--curve", "y^2 - x",
+               "--integrand", "(" * 3000 + "x" + ")" * 3000])
+    assert rc == 2
+    assert "nests deeper" in capsys.readouterr().err
+
+
+def test_corpus_continues_past_bad_records(capsys, tmp_path):
+    lines = [
+        json.dumps({"name": "no-curve", "integrand": "1/y"}),
+        json.dumps({"name": "good", "curve": "y^2 - x", "integrand": "y/x^3"}),
+        json.dumps({"name": "deep", "curve": "y^2 - x",
+                    "integrand": "(" * 3000 + "x" + ")" * 3000}),
+    ]
+    path = tmp_path / "mixed.jsonl"
+    path.write_text("\n".join(lines) + "\n")
+    assert main(["corpus", str(path), "--format", "structured"]) == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert [e["status"] for e in doc["entries"]] == ["error", "ok", "error"]
+    assert doc["summary"] == {"total": 3, "ok": 1, "mismatch": 0, "error": 2}
+
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_desk_corpus_structured_matches_golden_file(capsys, jobs):
+    golden = (ROOT / "tests" / "data" / "desk_corpus.structured.json").read_text()
+    corpus = str(ROOT / "data" / "desk_corpus.jsonl")
+    assert main(["corpus", corpus, "--format", "structured", "--jobs", jobs]) == 0
+    assert capsys.readouterr().out == golden
 
 
 def test_corpus_cli_on_bundled_file(capsys):

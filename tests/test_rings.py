@@ -4,10 +4,15 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from algint import rings
 from algint.rings import (
     QQ,
+    QT,
+    T_POLY,
     POLY_X_QQ,
+    POLY_X_QT,
     RAT_X_QQ,
+    RAT_X_QT,
     ext_gcd,
     gcd,
     invert_mod,
@@ -202,3 +207,147 @@ def test_ratfunc_coprime_normal_form(r):
     if r:
         assert gcd(r.num, r.den) == R.one
     assert r.den.lc == 1
+
+
+# ---------------------------------------------------------------------------
+# gcd shortcuts and Henrici arithmetic against their textbook definitions
+
+def euclid(p, q):
+    """Plain Euclid, the definition the shortcuts in gcd must agree with."""
+    while q:
+        p, q = q, p % q
+    return p.monic() if p else p
+
+
+t = QT.of(T_POLY.gen)
+X = POLY_X_QT.gen
+
+
+def qt_elements():
+    coeffs = st.lists(small_fractions, min_size=1, max_size=3)
+    return st.builds(
+        lambda n, d: QT.of(T_POLY.poly(n), T_POLY.poly(d)),
+        coeffs,
+        coeffs.filter(any),
+    )
+
+
+def polys_over_qt(max_degree=2):
+    return st.lists(qt_elements(), min_size=1, max_size=max_degree + 1).map(
+        POLY_X_QT.poly
+    )
+
+
+@given(polys_over_qq(), polys_over_qq(), polys_over_qq(max_degree=2))
+def test_gcd_matches_euclid_over_qq(a, b, g):
+    assert gcd(a, b) == euclid(a, b)
+    assert gcd(a * g, b * g) == euclid(a * g, b * g)
+
+
+@given(polys_over_qt(), polys_over_qt(), polys_over_qt(max_degree=1))
+def test_gcd_matches_euclid_over_qt(a, b, g):
+    assert gcd(a, b) == euclid(a, b)
+    assert gcd(a * g, b * g) == euclid(a * g, b * g)
+
+
+def _product(polys):
+    out = R.one
+    for p in polys:
+        out = out * p
+    return out
+
+
+# denominators drawn from a few factors, so that operands often share one
+_FACTORS = (P(0, 1), P(-1, 1), P(1, 1), P(1, 0, 1))
+shared_ratfuncs = st.builds(
+    lambda num, picks: F.of(num, _product(picks)),
+    polys_over_qq(),
+    st.lists(st.sampled_from(_FACTORS), max_size=3),
+)
+
+
+def _check_field_ops(r, s):
+    field = r.field
+    assert r + s == field.of(r.num * s.den + s.num * r.den, r.den * s.den)
+    assert r - s == field.of(r.num * s.den - s.num * r.den, r.den * s.den)
+    assert r * s == field.of(r.num * s.num, r.den * s.den)
+    if s:
+        assert r / s == field.of(r.num * s.den, r.den * s.num)
+    for k in (-2, 0, 3):
+        if k >= 0:
+            assert r**k == field.of(r.num**k, r.den**k)
+        elif r:
+            assert r**k == field.of(r.den ** -k, r.num ** -k)
+
+
+@given(shared_ratfuncs, shared_ratfuncs)
+def test_ratfunc_ops_match_textbook_formulas(r, s):
+    _check_field_ops(r, s)
+
+
+@given(polys_over_qt(max_degree=1), polys_over_qt(max_degree=1), qt_elements())
+def test_ratfunc_ops_match_textbook_formulas_over_qt(a, b, c):
+    den = X + t  # a shared factor in x over Q(t)
+    _check_field_ops(RAT_X_QT.of(a, den * b if b else den), RAT_X_QT.of(den * c, X))
+
+
+def test_gcd_constant_and_zero_arguments():
+    assert gcd(P(5), P(1, 1)) == R.one
+    assert gcd(P(2, 2), P(3)) == R.one
+    assert gcd(R.zero, R.zero) == R.zero
+    assert gcd(R.zero, P(2, 2)) == P(1, 1)
+    assert gcd(P(2, 2), R.zero) == P(1, 1)
+    assert gcd(R.zero, P(7)) == R.one
+
+
+def test_gcd_falls_back_when_leading_coefficient_vanishes():
+    # t - t0 vanishes at the evaluation point, so the image of g is constant
+    # and the images of p and q are coprime although p and q are not
+    t0 = QT.from_int(rings._POINTS["t"])
+    g = POLY_X_QT.poly([1, t - t0])
+    p, q = g * (X + 2), g * (X + 3)
+    assert not rings._coprime_mod(p, q)
+    assert gcd(p, q) == g.monic()
+
+
+def test_gcd_falls_back_when_a_denominator_is_the_prime():
+    g = P(Fraction(1, rings._PRIME), 1)
+    p, q = g * P(2, 1), g * P(3, 1)
+    assert not rings._coprime_mod(p, q)
+    assert gcd(p, q) == g
+
+
+def test_gcd_falls_back_on_an_unlucky_prime():
+    # x + prime and x have the same image but are coprime
+    p, q = P(rings._PRIME, 1), P(0, 1)
+    assert not rings._coprime_mod(p, q)
+    assert gcd(p, q) == R.one
+
+
+def test_coprime_certificate_accepts_coprime_pairs():
+    assert rings._coprime_mod(P(1, 1) * P(2, 1), P(3, 1))
+    assert rings._coprime_mod(POLY_X_QT.poly([t, 1]), POLY_X_QT.poly([1 / t, t, 1]))
+
+
+def test_gcd_over_qt_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    ts, xs = sympy.symbols("t x")
+    domain = sympy.QQ.frac_field(ts)
+
+    def in_t(p):
+        return sum(
+            sympy.Rational(c.numerator, c.denominator) * ts**i
+            for i, c in enumerate(p.coeffs)
+        )
+
+    def to_sympy(p):
+        expr = sum(in_t(c.num) / in_t(c.den) * xs**k for k, c in enumerate(p.coeffs))
+        return sympy.Poly(expr, xs, domain=domain)
+
+    @given(polys_over_qt(), polys_over_qt(), polys_over_qt(max_degree=1))
+    def check(a, b, g):
+        p, q = a * g, b * g
+        if p or q:
+            assert to_sympy(gcd(p, q)) == sympy.gcd(to_sympy(p), to_sympy(q))
+
+    check()
