@@ -21,7 +21,7 @@ from .errors import (
     RankDeficient,
     SuitabilityFailure,
 )
-from .linalg import det, hnf_rows, inverse, mat, solve_mod, vec_mat
+from .linalg import det, hnf_rows, inverse, mat, mat_mul, solve_mod, vec_mat
 from .rings import (
     QT,
     Poly,
@@ -274,13 +274,8 @@ class AlgElem:
                     tuple(mk[i][j] + (ck if i == j else F.zero) for j in range(n))
                     for i in range(n)
                 )
-                mk = _mat_mul_field(mm, shifted)
+                mk = mat_mul(mm, shifted)
         return tuple(coeffs)
-
-    def norm(self):
-        cs = self.char_poly()
-        sign = self.curve.xfrac.from_int((-1) ** self.curve.n)
-        return sign * cs[-1]
 
     def is_integral(self):
         return all(c.is_polynomial for c in self.char_poly())
@@ -296,23 +291,6 @@ class AlgElem:
 
     def __repr__(self):
         return f"AlgElem({self.poly})"
-
-
-def _mat_mul_field(a, b):
-    n = len(a)
-    return tuple(
-        tuple(
-            _sum_prod(a[i], tuple(b[k][j] for k in range(n))) for j in range(n)
-        )
-        for i in range(n)
-    )
-
-
-def _sum_prod(u, v):
-    acc = u[0] * v[0]
-    for x, y in zip(u[1:], v[1:]):
-        acc = acc + x * y
-    return acc
 
 
 def discriminant(elements):
@@ -349,13 +327,6 @@ class FieldBasis:
             tuple((c * self.e).as_poly() for c in row) for row in deriv_rows
         )
         self.e_squarefree = is_squarefree(self.e)
-        self._integral = None
-
-    @property
-    def integral_certified(self):
-        if self._integral is None:
-            self._integral = all(w.is_integral() for w in self.elements)
-        return self._integral
 
     def coords_of(self, f):
         """K(x)-coordinates of f with respect to this basis."""
@@ -370,6 +341,22 @@ class FieldBasis:
 
     def member(self, f):
         return self.member_coords(f) is not None
+
+    def first_new_integral(self, candidates):
+        """The first candidate that is nonzero, integral and outside this
+        module, or None, together with the (text, reason) of each candidate
+        rejected before it."""
+        rejected = []
+        for theta in candidates:
+            if not theta:
+                continue
+            if not theta.is_integral():
+                rejected.append((str(theta), "not integral"))
+            elif self.member(theta):
+                rejected.append((str(theta), "already in module"))
+            else:
+                return theta, rejected
+        return None, rejected
 
     def combine(self, coeffs):
         """Linear combination sum(coeffs[i] * w_i) as a field element."""
@@ -400,6 +387,7 @@ class FieldBasis:
         return all(self.member(w) for w in other.elements)
 
     def module_equal(self, other):
+        """Do both bases span the same K[x]-module?  An oracle for the tests."""
         return self.module_contains(other) and other.module_contains(self)
 
     def transition_from(self, other):
@@ -475,14 +463,8 @@ def _repair_suitability(basis):
         for c in vectors:
             combo = basis.combine([cur.xfrac.of(ci) for ci in c])
             candidates.append(combo * cur.from_x(cur.xfrac.one / p_rf))
-        for theta in candidates:
-            if not theta:
-                continue
-            if not theta.is_integral():
-                tried.append((str(theta), "not integral"))
-                continue
-            if basis.member(theta):
-                tried.append((str(theta), "already in module"))
-                continue
+        theta, rejected = basis.first_new_integral(candidates)
+        tried.extend(rejected)
+        if theta is not None:
             return basis.enlarge([theta])
     raise SuitabilityFailure(f"no certified enlargement; rejected: {tried}")

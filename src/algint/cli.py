@@ -34,8 +34,8 @@ from .polyred import additive_decompose
 from .rings import QT, T_POLY
 from .telescoper import telescope, verify_telescoper
 
-SCHEMA_RESULT = "algint.result/1"
-SCHEMA_CORPUS = "algint.corpus/1"
+SCHEMA_RESULT = "algint.result/2"
+SCHEMA_CORPUS = "algint.corpus/2"
 
 
 def _field_name(field):
@@ -185,7 +185,6 @@ def _emit(args, mode, field, payload, elapsed):
                 "field": _field_name(field),
             },
             "result": payload,
-            "seed": args.seed,
         }
         print(json.dumps(doc, sort_keys=True, indent=2))
     else:
@@ -290,16 +289,26 @@ def run_record(record, max_order_default=20):
     return out
 
 
+def _run_line(line):
+    """run_record on one corpus line; a line that is not valid JSON gives
+    the error record of a record that is not an object."""
+    try:
+        record = json.loads(line)
+    except json.JSONDecodeError as exc:
+        out = run_record(None)
+        out["error"] = f"{type(exc).__name__}: {exc}"
+        return out
+    return run_record(record)
+
+
 def _cmd_corpus(args):
     with open(args.path, "r", encoding="utf-8") as fh:
-        records = [
-            json.loads(line) for line in fh if line.strip() and not line.startswith("#")
-        ]
+        lines = [line for line in fh if line.strip() and not line.startswith("#")]
     if args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(run_record, records))
+            results = list(pool.map(_run_line, lines))
     else:
-        results = [run_record(r) for r in records]
+        results = [_run_line(line) for line in lines]
     ok = sum(1 for r in results if r["status"] == "ok")
     summary = {
         "total": len(results),
@@ -312,7 +321,6 @@ def _cmd_corpus(args):
             "schema": SCHEMA_CORPUS,
             "entries": results,
             "summary": summary,
-            "seed": args.seed,
         }
         print(json.dumps(doc, sort_keys=True, indent=2))
     else:
@@ -336,10 +344,6 @@ def _add_common(sub, integrand=True):
     sub.add_argument(
         "--format", choices=["text", "structured"], default="text",
         help="structured output is deterministic JSON",
-    )
-    sub.add_argument(
-        "--seed", type=int, default=None,
-        help="echoed in structured output; the pipeline itself is deterministic",
     )
 
 
@@ -368,7 +372,6 @@ def build_parser():
     sp.add_argument(
         "--format", choices=["text", "structured"], default="text"
     )
-    sp.add_argument("--seed", type=int, default=None)
     return parser
 
 

@@ -49,10 +49,6 @@ class Remainder:
     d: Poly
     nums: tuple
 
-    @property
-    def is_zero(self):
-        return not any(self.nums)
-
     def element(self):
         cur = self.basis.curve
         den = cur.xfrac.of(self.d * self.basis.e)
@@ -63,16 +59,12 @@ class Remainder:
 class StepReduced:
     g_part: AlgElem
     rest: AlgElem
-    matrix: tuple
-    rhs: tuple
     outcome: SolveOutcome
 
 
 @dataclass(frozen=True)
 class StepDegenerate:
     presentation: PolePresentation
-    matrix: tuple
-    rhs: tuple
     outcome: SolveOutcome
 
 
@@ -148,19 +140,11 @@ def hermite_step(pres):
     matrix = _step_system(pres)
     outcome = solve_mod(matrix, pres.numer, pres.v, ring)
     if outcome.status == "unique":
-        return _apply_solution(pres, matrix, outcome)
-    return StepDegenerate(presentation=pres, matrix=matrix, rhs=pres.numer, outcome=outcome)
+        return _apply_solution(pres, outcome)
+    return StepDegenerate(presentation=pres, outcome=outcome)
 
 
-def apply_particular_solution(step):
-    """Forced reduction with the particular solution of a solvable but
-    underdetermined step."""
-    if step.outcome.solution is None:
-        raise AlgintError("degenerate step has no particular solution")
-    return _apply_solution(step.presentation, step.matrix, step.outcome)
-
-
-def _apply_solution(pres, matrix, outcome):
+def _apply_solution(pres, outcome):
     basis = pres.basis
     cur = basis.curve
     ring = cur.xring
@@ -180,9 +164,7 @@ def _apply_solution(pres, matrix, outcome):
     rest = basis.combine(
         [cur.xfrac.of(c.exact_div(pres.v)) / rest_den for c in bracket]
     )
-    return StepReduced(
-        g_part=g_part, rest=rest, matrix=matrix, rhs=pres.numer, outcome=outcome
-    )
+    return StepReduced(g_part=g_part, rest=rest, outcome=outcome)
 
 
 def basis_update(step):
@@ -215,7 +197,6 @@ def basis_update(step):
                 vectors.append(v)
         leaf_vectors.append((leaf, vectors))
     u_elem = cur.from_x(cur.xfrac.of(pres.u))
-    rejected = []
     candidates = []
     for leaf, vectors in leaf_vectors:
         for c in vectors:
@@ -227,19 +208,12 @@ def basis_update(step):
         w_inv = cur.from_x(cur.xfrac.of(leaf.modulus)).inv()
         for c in vectors:
             candidates.append(basis.combine([cur.xfrac.of(ci) for ci in c]) * w_inv)
-    for theta in candidates:
-        if not theta:
-            continue
-        if not theta.is_integral():
-            rejected.append((str(theta), "not integral"))
-            continue
-        if basis.member(theta):
-            rejected.append((str(theta), "already in module"))
-            continue
-        return theta
-    raise UpdateCandidatesExhausted(
-        f"no candidate certified from {len(candidates)} tried: {rejected}"
-    )
+    theta, rejected = basis.first_new_integral(candidates)
+    if theta is None:
+        raise UpdateCandidatesExhausted(
+            f"no candidate certified from {len(candidates)} tried: {rejected}"
+        )
+    return theta
 
 
 def lazy_hermite_reduce(f, basis: Optional[FieldBasis] = None):
@@ -249,13 +223,20 @@ def lazy_hermite_reduce(f, basis: Optional[FieldBasis] = None):
     remainder h, the final (possibly enlarged) basis, and the integral
     elements adjoined along the way.  The reduction recomputes the pole
     presentation from scratch after every module update.
+
+    Termination: a reduction step leaves a rest whose denominator divides
+    u*v^(d-1), and every factor of u has multiplicity below d, so on an
+    unchanged basis the pole order d strictly drops.  A module update
+    adjoins an integral element outside the module, so the module grows
+    inside the integral closure, which it can do only finitely often.
     """
     if basis is None:
         basis = initial_suitable_basis(f.curve)
     g_total = f.curve.zero()
     current = f
     adjoined = []
-    for _ in range(10000):
+    last_d = None  # pole order the previous step reduced on this basis
+    while True:
         pres = present(current, basis)
         if isinstance(pres, Remainder):
             return HermiteResult(
@@ -264,6 +245,10 @@ def lazy_hermite_reduce(f, basis: Optional[FieldBasis] = None):
                 basis=basis,
                 adjoined=tuple(adjoined),
             )
+        if last_d is not None and pres.d >= last_d:
+            raise AlgintError(
+                f"a reduction step left pole order {pres.d}, not below {last_d}"
+            )
         step = hermite_step(pres)
         if isinstance(step, StepDegenerate):
             try:
@@ -271,11 +256,14 @@ def lazy_hermite_reduce(f, basis: Optional[FieldBasis] = None):
             except UpdateCandidatesExhausted:
                 if step.outcome.solution is None:
                     raise
-                step = apply_particular_solution(step)
+                # forced reduction with the particular solution of a
+                # solvable but underdetermined step
+                step = _apply_solution(pres, step.outcome)
             else:
                 adjoined.append(theta)
                 basis = basis.enlarge([theta])
+                last_d = None
                 continue
         g_total = g_total + step.g_part
         current = step.rest
-    raise AlgintError("pole reduction failed to terminate")
+        last_d = pres.d

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import DomainError, PreconditionError, RankDeficient
-from .rings import ext_gcd, gcd, is_squarefree, poly_crt
+from .rings import gcd, invert_mod, is_squarefree, poly_crt
 
 
 def mat(rows):
@@ -19,13 +19,10 @@ def mat(rows):
 
 
 def identity(ring, n):
+    """The n x n identity matrix; an oracle for the tests."""
     return tuple(
         tuple(ring.one if i == j else ring.zero for j in range(n)) for i in range(n)
     )
-
-
-def zeros(ring, m, n):
-    return tuple((ring.zero,) * n for _ in range(m))
 
 
 def transpose(a):
@@ -53,15 +50,6 @@ def _dot(u, v):
     return acc
 
 
-def mat_add(a, b):
-    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-def mat_sub(a, b):
-    return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-def mat_scale(a, c):
-    return tuple(tuple(x * c for x in row) for row in a)
-
 def vec_mat(v, a):
     """Row vector times matrix."""
     if len(v) != len(a):
@@ -69,16 +57,8 @@ def vec_mat(v, a):
     return tuple(_dot(v, col) for col in transpose(a))
 
 def mat_vec(a, v):
+    """Matrix times column vector; an oracle for the tests."""
     return tuple(_dot(row, v) for row in a)
-
-def vec_add(u, v):
-    return tuple(x + y for x, y in zip(u, v))
-
-def vec_sub(u, v):
-    return tuple(x - y for x, y in zip(u, v))
-
-def vec_scale(v, c):
-    return tuple(x * c for x in v)
 
 
 # ---------------------------------------------------------------------------
@@ -170,19 +150,6 @@ def inverse(a, field):
     return tuple(tuple(red[i][n:]) for i in range(n))
 
 
-def solve_right(a, b, field):
-    """One solution x of a x = b over a field, or None if inconsistent."""
-    n = len(a[0]) if a else 0
-    aug = [list(row) + [bi] for row, bi in zip(a, b)]
-    red, pivots = rref(aug, field)
-    if n in pivots:
-        return None
-    x = [field.zero] * n
-    for i, pc in enumerate(pivots):
-        x[pc] = red[i][n]
-    return tuple(x)
-
-
 # ---------------------------------------------------------------------------
 # Hermite normal form over K[x]
 
@@ -238,7 +205,8 @@ def hnf_pivot_columns(h):
 
 
 def hnf_member(h, vec):
-    """Is vec in the K[x]-row span of the echelon basis h?"""
+    """Is vec in the K[x]-row span of the echelon basis h?  An oracle for
+    the tests."""
     v = list(vec)
     pivots = hnf_pivot_columns(h)
     for row, col in zip(h, pivots):
@@ -275,7 +243,6 @@ class SolveLeaf:
 @dataclass(frozen=True)
 class SolveOutcome:
     status: str
-    modulus: object
     solution: tuple | None      # defined when status != "inconsistent"
     kernel: tuple               # kernel basis mod the full modulus
     leaves: tuple
@@ -296,7 +263,7 @@ def solve_mod(a_mat, rhs, v, ring):
     if len(a_mat) != n or any(len(row) != n for row in a_mat):
         raise PreconditionError("system matrix must be square and match the rhs")
     leaves = _solve_leaves(a_mat, rhs, v.monic(), ring)
-    return _combine_leaves(leaves, v.monic(), n, ring)
+    return _combine_leaves(leaves, n, ring)
 
 
 def _solve_leaves(a_mat, rhs, v, ring):
@@ -324,7 +291,7 @@ def _solve_leaves(a_mat, rhs, v, ring):
             )
         if piv is None:
             continue
-        inv = _inv_mod(m[piv][col], v)
+        inv = invert_mod(m[piv][col], v)
         m[piv] = [(x * inv) % v for x in m[piv]]
         lmat[piv] = [(x * inv) % v for x in lmat[piv]]
         for i in range(n):
@@ -336,7 +303,7 @@ def _solve_leaves(a_mat, rhs, v, ring):
         pivot_of_col[col] = piv
         used_rows.add(piv)
     # residual right-hand side: L*c
-    lc = [_dot_mod(lmat[i], c, v) for i in range(n)]
+    lc = [_dot(lmat[i], c) % v for i in range(n)]
     cokernel = []
     for i in range(n):
         if i in used_rows:
@@ -376,27 +343,13 @@ def _coker_rows(lmat, used_rows, n):
     return [lmat[i] for i in range(n) if i not in used_rows]
 
 
-def _inv_mod(p, v):
-    g, s, _ = ext_gcd(p % v, v)
-    if g.degree != 0:
-        raise DomainError(f"{p} not invertible mod {v}")
-    return s % v
-
-
-def _dot_mod(row, col, v):
-    acc = row[0].ring.zero
-    for a, b in zip(row, col):
-        acc = acc + a * b
-    return acc % v
-
-
-def _combine_leaves(leaves, v, n, ring):
+def _combine_leaves(leaves, n, ring):
     bad = [lf for lf in leaves if lf.status == "inconsistent"]
     if bad:
-        return SolveOutcome("inconsistent", v, None, (), tuple(leaves))
+        return SolveOutcome("inconsistent", None, (), tuple(leaves))
     if len(leaves) == 1:
         lf = leaves[0]
-        return SolveOutcome(lf.status, v, lf.solution, lf.kernel, tuple(leaves))
+        return SolveOutcome(lf.status, lf.solution, lf.kernel, tuple(leaves))
     solution = []
     for j in range(n):
         r, _ = poly_crt([(lf.solution[j], lf.modulus) for lf in leaves])
@@ -412,4 +365,4 @@ def _combine_leaves(leaves, v, n, ring):
                 ext.append(r)
             kernel.append(tuple(ext))
     status = "underdetermined" if kernel else "unique"
-    return SolveOutcome(status, v, tuple(solution), tuple(kernel), tuple(leaves))
+    return SolveOutcome(status, tuple(solution), tuple(kernel), tuple(leaves))

@@ -11,7 +11,10 @@ Names are maximal letter runs; only x, y and (over QQ(t)) t are defined.
 Error positions are 0-based character offsets.  A binary operator with a
 missing right operand reports the operator's own position.  Parentheses and
 unary minus signs may nest at most MAX_NESTING deep, so that the recursive
-descent stays far from the interpreter's recursion limit.
+descent stays far from the interpreter's recursion limit.  An exponent may
+be at most MAX_EXPONENT in size, so that a short input cannot run for
+minutes, and an integer literal at most as long as the interpreter converts
+to int (sys.get_int_max_str_digits(), 4300 digits by default).
 
 The same parser serves both jobs: curves evaluate in the fraction field of
 K(x)[y] (the denominator must be free of y), integrands evaluate directly
@@ -38,6 +41,7 @@ from .rings import (
 
 
 MAX_NESTING = 100
+MAX_EXPONENT = 100
 
 
 @dataclass(frozen=True)
@@ -59,7 +63,13 @@ def tokenize(text):
             j = i
             while j < len(text) and text[j].isdigit():
                 j += 1
-            out.append(Token("int", int(text[i:j]), i))
+            try:
+                value = int(text[i:j])
+            except ValueError:
+                raise ExprSyntaxError(
+                    f"integer literal of {j - i} digits is too long", i
+                )
+            out.append(Token("int", value, i))
             i = j
             continue
         if ch.isalpha():
@@ -178,6 +188,10 @@ class _Parser:
             if exp.kind != "int":
                 raise ExprSyntaxError(
                     "'^' requires an integer exponent", op.pos
+                )
+            if exp.value > MAX_EXPONENT:
+                raise ExprSyntaxError(
+                    f"exponent exceeds {MAX_EXPONENT}", exp.pos
                 )
             self._next()
             value = value ** (sign * exp.value)

@@ -34,13 +34,13 @@ def _val_inf(rf):
 
 
 def infinity_scale(w):
-    """Smallest k with w/x^k integral at infinity, returned as (element, k)."""
+    """w/x^k for the smallest k that makes it integral at infinity."""
     cur = w.curve
     xinv = cur.from_x(cur.xfrac.of(cur.xring.one, cur.xring.gen))
     cand = w
-    for k in range(0, 256):
+    for _ in range(256):
         if cand.is_integral_at_infinity():
-            return cand, k
+            return cand
         cand = cand * xinv
     raise AlgintError("no power of x makes the element integral at infinity")
 
@@ -52,7 +52,6 @@ class InfinityBasis:
     the decomposition may work with a polynomial multiple of a_min."""
 
     vb: FieldBasis
-    tau: tuple
 
     @property
     def elements(self):
@@ -85,16 +84,10 @@ def suitable_at_infinity(curve):
     x and enlarging the local module at infinity until the derivation data
     is suitable there."""
     start = power_basis(curve)
-    scaled = []
-    taus = []
-    for w in start.elements:
-        v, k = infinity_scale(w)
-        scaled.append(v)
-        taus.append(k)
-    vb = FieldBasis(curve, scaled)
+    vb = FieldBasis(curve, [infinity_scale(w) for w in start.elements])
     for _ in range(64):
         if _suitable_at_inf(vb):
-            return InfinityBasis(vb=vb, tau=tuple(taus))
+            return InfinityBasis(vb=vb)
         vb = _repair_at_infinity(vb)
     raise SuitabilityFailure("enlargement at infinity did not stabilize")
 
@@ -113,14 +106,9 @@ def _repair_at_infinity(vb):
     k = 2 + top - a.degree
     xf = cur.xfrac
     x = cur.xring.gen
-    candidates = []
     power = xf.of(x) ** (3 - k) if 3 - k >= 0 else xf.one / xf.of(x) ** (k - 3)
     scale = cur.from_x(power / xf.of(a))
-    for i in range(cur.n):
-        num = cur.zero()
-        for j in range(cur.n):
-            num = num + cur.from_x(xf.of(bmat[i][j])) * vb.elements[j]
-        candidates.append(scale * num)
+    candidates = [scale * vb.combine([xf.of(p) for p in row]) for row in bmat]
     field_k = cur.field
     btop = tuple(
         tuple(
@@ -134,11 +122,7 @@ def _repair_at_infinity(vb):
         if v not in vectors:
             vectors.append(v)
     x_elem = cur.from_x(xf.of(x))
-    for c in vectors:
-        combo = cur.zero()
-        for ci, v in zip(c, vb.elements):
-            combo = combo + cur.from_x(xf.coerce(ci)) * v
-        candidates.append(x_elem * combo)
+    candidates += [x_elem * vb.combine(c) for c in vectors]
     for theta in candidates:
         if not theta or not theta.is_integral_at_infinity():
             continue
@@ -182,13 +166,7 @@ def _dvr_enlarge(vb, theta):
     live = [row for row in rows if any(row)]
     if len(live) != n:
         raise RankDeficient("local module at infinity lost full rank")
-    elems = []
-    for row in live:
-        e = cur.zero()
-        for c, v in zip(row, vb.elements):
-            e = e + cur.from_x(c) * v
-        elems.append(e)
-    return FieldBasis(cur, elems)
+    return FieldBasis(cur, [vb.combine(row) for row in live])
 
 
 def compute_u(basis, b):
@@ -223,7 +201,7 @@ class PhiMap:
     bmat: tuple
 
     def apply_tilde(self, row):
-        """u^2 * phi(row), always a polynomial row."""
+        """u^2 * phi(row), always a polynomial row; an oracle for the tests."""
         au = self.a * self.u
         aup = self.a * self.u.derivative()
         pb = vec_mat(row, self.bmat)
@@ -242,14 +220,13 @@ class PhiMap:
         return tuple(row)
 
 
-@dataclass(frozen=True)
-class ComplementSchedule:
-    """Build schedule for the image complement; two different schedules must
-    stabilize on the same standard monomials."""
-
-    initial_cap: int = 8
-    step: int = 4
-    hard_cap: int = 600
+# Build schedule of the image complement: ensure_stable feeds generators up
+# to degree COMPLEMENT_INITIAL_CAP (further if the stabilization margin
+# needs it), then COMPLEMENT_STEP more degrees per round until the
+# complement is stable, and gives up past degree COMPLEMENT_HARD_CAP.
+COMPLEMENT_INITIAL_CAP = 8
+COMPLEMENT_STEP = 4
+COMPLEMENT_HARD_CAP = 600
 
 
 class ComplementNV:
@@ -262,12 +239,11 @@ class ComplementNV:
     echelon row keeps the preimage polynomial row that maps onto it.
     """
 
-    def __init__(self, phi, n, field, schedule=None):
+    def __init__(self, phi, n, field):
         self.phi = phi
         self.n = n
         self.field = field
         self.ring = phi.u.ring
-        self.schedule = schedule or ComplementSchedule()
         self.leads = {}
         self._residue = []
         self._ulen = 2 * phi.u.degree
@@ -365,7 +341,7 @@ class ComplementNV:
         if self._stable:
             return
         margin = self._margin()
-        target = max(self.schedule.initial_cap, margin + 1)
+        target = max(COMPLEMENT_INITIAL_CAP, margin + 1)
         while True:
             while self._built < target:
                 self._feed(self._built + 1)
@@ -382,8 +358,8 @@ class ComplementNV:
                 self._frozen = maxstd
                 self._stable = True
                 return
-            target += self.schedule.step
-            if target > self.schedule.hard_cap:
+            target += COMPLEMENT_STEP
+            if target > COMPLEMENT_HARD_CAP:
                 raise AlgintError("complement build exceeded its hard cap")
 
     def ensure_cover(self, degree):
@@ -395,7 +371,8 @@ class ComplementNV:
     # -- public views
 
     def standard_monomials(self):
-        """Monomials (degree, component) spanning the complement, sorted."""
+        """Monomials (degree, component) spanning the complement, sorted;
+        the tests compare complements by them."""
         self.ensure_stable()
         out = []
         for k in range(self._frozen + 1):
@@ -403,10 +380,6 @@ class ComplementNV:
                 if (k, j) not in self.leads:
                     out.append((k, j))
         return tuple(out)
-
-    @property
-    def dim(self):
-        return len(self.standard_monomials())
 
     def reduce(self, row):
         """Split row = u^2*phi-image part + complement part.
@@ -451,7 +424,6 @@ class AdditiveDecomp:
     which case g is an antiderivative.
     """
 
-    f: AlgElem
     g: AlgElem
     basis: FieldBasis
     d: Poly
@@ -460,7 +432,6 @@ class AdditiveDecomp:
     a: Poly
     q_nums: tuple
     u: Poly
-    p1: tuple
     hermite: HermiteResult
 
     @property
@@ -484,9 +455,8 @@ class AdditiveDecomp:
 class Decomposer:
     """Caches the infinity basis and the image complements per (u, a)."""
 
-    def __init__(self, curve, schedule=None):
+    def __init__(self, curve):
         self.curve = curve
-        self.schedule = schedule or ComplementSchedule()
         self._inf = None
         self._complements = {}
 
@@ -506,7 +476,7 @@ class Decomposer:
                 tuple(scale * p for p in row) for row in inf.b_min
             )
             phi = PhiMap(u=u, a=a, bmat=bmat)
-            hit = ComplementNV(phi, self.curve.n, self.curve.field, self.schedule)
+            hit = ComplementNV(phi, self.curve.n, self.curve.field)
             self._complements[key] = hit
         return hit
 
@@ -542,7 +512,6 @@ class Decomposer:
         u_rf = xf.of(u)
         g = her.g_part + vb.combine([xf.of(p) / u_rf for p in p1])
         return AdditiveDecomp(
-            f=f,
             g=g,
             basis=w_basis,
             d=d,
@@ -551,17 +520,15 @@ class Decomposer:
             a=a,
             q_nums=q2,
             u=u,
-            p1=p1,
             hermite=her,
         )
 
 
-def additive_decompose(f, basis=None, schedule=None, decomposer=None):
+def additive_decompose(f, basis=None):
     """Decompose f = g' + h with h minimal; convenience entry point."""
-    dec = decomposer or Decomposer(f.curve, schedule)
-    return dec.decompose(f, basis)
+    return Decomposer(f.curve).decompose(f, basis)
 
 
-def antiderivative(f, basis=None, decomposer=None):
+def antiderivative(f, basis=None):
     """Exact antiderivative of f, or None if f is not integrable."""
-    return additive_decompose(f, basis=basis, decomposer=decomposer).antiderivative()
+    return additive_decompose(f, basis=basis).antiderivative()

@@ -266,12 +266,6 @@ class Poly:
             tuple(c * self.ring.coeff.from_int(i) for i, c in enumerate(self.coeffs))[1:],
         )
 
-    def shift(self, k):
-        """Multiply by var**k."""
-        if not self:
-            return self
-        return Poly(self.ring, (self.ring.coeff.zero,) * k + self.coeffs)
-
     def map_coeffs(self, fn, new_ring):
         return Poly(new_ring, tuple(fn(c) for c in self.coeffs))
 
@@ -719,16 +713,6 @@ def squarefree_decomposition(p):
     return c, out
 
 
-def squarefree_part(p):
-    """Monic product of the distinct irreducible factors of p."""
-    if not p:
-        raise DomainError("squarefree part of 0")
-    p = p.monic()
-    if p.degree == 0:
-        return p
-    return p.exact_div(gcd(p, p.derivative()))
-
-
 def is_squarefree(p):
     if not p:
         return False
@@ -745,58 +729,6 @@ def square_part_root(p):
         if mult >= 2:
             out = out * f ** (mult // 2)
     return out
-
-
-# ---------------------------------------------------------------------------
-# resultants
-
-
-def resultant(p, q):
-    """Resultant via the Sylvester matrix over the coefficient field.
-
-    Convention: if exactly one argument is constant c, the result is
-    c ** (degree of the other); two constants are rejected.
-    """
-    if not p or not q:
-        raise DomainError("resultant with a zero argument")
-    m, n = p.degree, q.degree
-    if m == 0 and n == 0:
-        raise DomainError("resultant of two constants")
-    if m == 0:
-        return p.coeffs[0] ** n
-    if n == 0:
-        return q.coeffs[0] ** m
-    field = p.ring.coeff
-    size = m + n
-    rows = []
-    pc = list(reversed(p.coeffs))
-    qc = list(reversed(q.coeffs))
-    for i in range(n):
-        rows.append([field.zero] * i + pc + [field.zero] * (n - 1 - i))
-    for i in range(m):
-        rows.append([field.zero] * i + qc + [field.zero] * (m - 1 - i))
-    # Gaussian elimination determinant; exact field arithmetic throughout
-    det = field.one
-    for col in range(size):
-        piv = None
-        for r in range(col, size):
-            if rows[r][col]:
-                piv = r
-                break
-        if piv is None:
-            return field.zero
-        if piv != col:
-            rows[col], rows[piv] = rows[piv], rows[col]
-            det = -det
-        pv = rows[col][col]
-        det = det * pv
-        inv = field.one / pv
-        for r in range(col + 1, size):
-            f = rows[r][col] * inv
-            if not f:
-                continue
-            rows[r] = [a - f * b for a, b in zip(rows[r], rows[col])]
-    return det
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ derivative part that splits off is folded into the entry's gamma.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -28,19 +29,16 @@ from .errors import (
     PreconditionError,
 )
 from .linalg import nullspace
-from .polyred import ComplementSchedule, Decomposer
-from .rings import QQ, QT, lcm_many
+from .polyred import Decomposer
+from .rings import QT, lcm_many
 
 
 @dataclass
 class LedgerEntry:
-    """D_t^i f = dx(gamma) + h, with h split as (1/d) p*W + (1/a) q*V."""
+    """D_t^i f = dx(gamma) + h."""
 
     h_elem: AlgElem
     gamma: AlgElem
-    d: object
-    p_nums: tuple
-    q_nums: tuple
 
 
 class RemainderLedger:
@@ -51,30 +49,20 @@ class RemainderLedger:
         self.basis = first_dec.basis
         self.u = first_dec.u
         self.a = first_dec.a
-        self.entries = [self._entry_from(first_dec, first_dec.g)]
-
-    @staticmethod
-    def _entry_from(dec, gamma):
-        return LedgerEntry(
-            h_elem=dec.remainder_element(),
-            gamma=gamma,
-            d=dec.d,
-            p_nums=dec.p_nums,
-            q_nums=dec.q_nums,
-        )
+        self.entries = [LedgerEntry(first_dec.remainder_element(), first_dec.g)]
 
     def extend(self, dec, gamma):
-        """Append the entry for dec; rebase everything if dec moved the
-        shared basis data."""
-        entry = self._entry_from(dec, gamma)
+        """Append the entry for dec; rebase the earlier entries if dec moved
+        the shared basis data."""
         changed = (
             dec.u != self.u or dec.a != self.a or len(dec.hermite.adjoined) > 0
         )
-        self.entries.append(entry)
+        self.entries.append(LedgerEntry(dec.remainder_element(), gamma))
         if changed:
-            self._rebase(dec.basis, dec.u, dec.a, skip_last=True)
+            self._rebase(dec.basis, dec.u, dec.a)
 
-    def _rebase(self, new_basis, new_u, new_a, skip_last=False):
+    def _rebase(self, new_basis, new_u, new_a):
+        """Rewrite every entry but the newest over the new shared data."""
         if new_basis.transition_from(self.basis) is None:
             raise ContainmentViolated(
                 "previous basis does not lie in the enlarged module"
@@ -82,9 +70,7 @@ class RemainderLedger:
         self.basis = new_basis
         self.u = new_u
         self.a = new_a
-        upto = len(self.entries) - (1 if skip_last else 0)
-        for i in range(upto):
-            entry = self.entries[i]
+        for entry in self.entries[:-1]:
             dec = self.decomposer.decompose(
                 entry.h_elem, basis=new_basis, u_mult=new_u, a_mult=new_a
             )
@@ -96,9 +82,6 @@ class RemainderLedger:
                 raise ContainmentViolated("rebase changed the shared u or a")
             entry.gamma = entry.gamma + dec.g
             entry.h_elem = dec.remainder_element()
-            entry.d = dec.d
-            entry.p_nums = dec.p_nums
-            entry.q_nums = dec.q_nums
 
 
 @dataclass(frozen=True)
@@ -158,49 +141,23 @@ def find_dependency(entries):
             if cand[-1] != field.zero:
                 vec = cand
                 break
-    return _normalize_dependency(vec, field), rank
+    return _normalize_dependency(vec), rank
 
 
-def _normalize_dependency(vec, field):
-    if field == QQ:
-        denlcm = 1
-        for c in vec:
-            denlcm = denlcm * c.denominator // _gcd_int(denlcm, c.denominator)
-        ints = [int(c * denlcm) for c in vec]
-        g = 0
-        for v in ints:
-            g = _gcd_int(g, abs(v))
-        if g:
-            ints = [v // g for v in ints]
-        if ints[_last_nonzero(ints)] < 0:
-            ints = [-v for v in ints]
-        return tuple(Fraction(v) for v in ints)
-    if field == QT:
-        dens = [c.den for c in vec]
-        dlcm = lcm_many(dens)
-        polys = [c.num * dlcm.exact_div(c.den) for c in vec]
-        denlcm = 1
-        for p in polys:
-            for c in p.coeffs:
-                denlcm = denlcm * c.denominator // _gcd_int(denlcm, c.denominator)
-        polys = [p * Fraction(denlcm) for p in polys]
-        g = 0
-        for p in polys:
-            for c in p.coeffs:
-                g = _gcd_int(g, abs(int(c)))
-        if g > 1:
-            polys = [p / Fraction(g) for p in polys]
-        top = polys[_last_nonzero(polys)]
-        if top.lc < 0:
-            polys = [-p for p in polys]
-        return tuple(QT.of(p) for p in polys)
-    raise AlgintError(f"no dependency normalization for field {field}")
-
-
-def _gcd_int(a, b):
-    while b:
-        a, b = b, a % b
-    return a
+def _normalize_dependency(vec):
+    """Scale a Q(t) dependency to integer polynomials in t without common
+    content, the last nonzero one with a positive leading coefficient."""
+    dlcm = lcm_many([c.den for c in vec])
+    polys = [c.num * dlcm.exact_div(c.den) for c in vec]
+    denlcm = math.lcm(*(c.denominator for p in polys for c in p.coeffs))
+    polys = [p * Fraction(denlcm) for p in polys]
+    g = math.gcd(*(int(c) for p in polys for c in p.coeffs))
+    if g > 1:
+        polys = [p / Fraction(g) for p in polys]
+    top = polys[_last_nonzero(polys)]
+    if top.lc < 0:
+        polys = [-p for p in polys]
+    return tuple(QT.of(p) for p in polys)
 
 
 def _last_nonzero(seq):
@@ -227,7 +184,7 @@ def verify_telescoper(f, coeffs, certificate):
     return apply_telescoper(f, coeffs) == certificate.dx()
 
 
-def telescope(f, max_order=20, schedule: ComplementSchedule | None = None):
+def telescope(f, max_order=20):
     """Minimal-order telescoper for f with respect to D_t.
 
     Raises MaxOrderExceeded (with the per-round ranks) if no dependency
@@ -236,7 +193,7 @@ def telescope(f, max_order=20, schedule: ComplementSchedule | None = None):
     """
     if f.curve.field != QT:
         raise PreconditionError("telescoping requires the coefficient field QQ(t)")
-    decomposer = Decomposer(f.curve, schedule)
+    decomposer = Decomposer(f.curve)
     dec0 = decomposer.decompose(f)
     ledger = RemainderLedger(decomposer, dec0)
     ranks = []

@@ -97,3 +97,26 @@ def curve_elements(curve, max_degree=2, denom_pool=()):
         ),
         st.lists(st.integers(min_value=0, max_value=7), min_size=curve.n, max_size=curve.n),
     )
+
+
+# ---------------------------------------------------------------------------
+# oracles
+
+def complement_is_final(comp, extra=24):
+    """Build comp far past its frozen bound; True if that adds no standard
+    monomial and the top monomial rows built still reduce onto the old
+    standard monomials."""
+    before = comp.standard_monomials()
+    top = max((k for k, _ in before), default=-1) + extra
+    comp.ensure_cover(top)
+    if comp.standard_monomials() != before:
+        return False
+    ring = comp.ring
+    for j in range(comp.n):
+        row = [ring.zero] * comp.n
+        row[j] = ring.monomial(ring.coeff.one, top)
+        _, q2 = comp.reduce(tuple(row))
+        for i, p in enumerate(q2):
+            if any(p.coeff(d) and (d, i) not in before for d in range(p.degree + 1)):
+                return False
+    return True

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from algint.algfield import FieldBasis
-from algint.errors import PreconditionError
+from algint import hermite
+from algint.errors import AlgintError, PreconditionError
 from algint.hermite import (
     Remainder,
     StepDegenerate,
@@ -179,14 +180,14 @@ def test_remainder_invariants_hold(parabola):
     content = rem.d
     for num in rem.nums:
         content = gcd(content, num)
-    assert content == R.one or rem.is_zero
+    assert content == R.one or not any(rem.nums)
 
 
 def test_integrable_input_leaves_zero_remainder(parabola):
     g = elem(parabola, "y/(x^2*(x+1))")
     f = g.dx()
     result = lazy_hermite_reduce(f)
-    assert result.remainder.is_zero
+    assert not any(result.remainder.nums)
     assert (result.g_part - g).dx() == parabola.zero()
 
 
@@ -218,4 +219,24 @@ def test_derivatives_of_module_elements_are_fully_integrated(parabola):
     # dx of anything in the (1, y) module with poles only at x = 0
     g = elem(parabola, "(x^3 + 2)*y/x^4")
     result = lazy_hermite_reduce(g.dx())
-    assert result.remainder.is_zero
+    assert not any(result.remainder.nums)
+
+
+def test_step_without_progress_is_an_error(parabola, monkeypatch):
+    # a step whose rest keeps the pole order breaks the termination
+    # measure; the reduction must refuse it at once instead of looping
+    presented = []
+    real_present = hermite.present
+
+    def counting_present(f, basis):
+        presented.append(f)
+        return real_present(f, basis)
+
+    def stalled_step(pres):
+        return StepReduced(g_part=parabola.zero(), rest=pres.element(), outcome=None)
+
+    monkeypatch.setattr(hermite, "present", counting_present)
+    monkeypatch.setattr(hermite, "hermite_step", stalled_step)
+    with pytest.raises(AlgintError, match="pole order"):
+        lazy_hermite_reduce(elem(parabola, "y/x^3"))
+    assert len(presented) <= 3

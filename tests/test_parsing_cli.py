@@ -12,7 +12,7 @@ from algint.errors import (
     SuitabilityFailure,
     UnknownVariable,
 )
-from algint.parsing import build_curve, build_element, field_for, uses_t
+from algint.parsing import MAX_EXPONENT, build_curve, build_element, field_for, uses_t
 from algint.rings import QQ, QT, POLY_X_QQ
 
 from conftest import curve_elements, small_fractions
@@ -174,6 +174,7 @@ def test_cli_structured_output_is_deterministic(capsys):
     assert first == second
     doc = json.loads(first)
     assert doc["schema"] == SCHEMA_RESULT
+    assert set(doc) == {"input", "mode", "result", "schema"}
     assert doc["mode"] == "telescope"
     assert doc["result"]["order"] == 2
     assert doc["result"]["verified"] is True
@@ -274,6 +275,52 @@ def test_parser_depth_bound_is_a_syntax_error(parabola, capsys):
                "--integrand", "(" * 3000 + "x" + ")" * 3000])
     assert rc == 2
     assert "nests deeper" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "integrand, offset, message",
+    [
+        ("1" * 5000 + "*y", 0, "integer literal of 5000 digits"),
+        ("x^100000000", 2, "exponent exceeds"),
+    ],
+    ids=["long-literal", "huge-exponent"],
+)
+def test_numeric_bounds_are_syntax_errors(parabola, capsys, integrand, offset, message):
+    with pytest.raises(ExprSyntaxError) as err:
+        build_element(integrand, parabola)
+    assert err.value.position == offset
+    assert message in str(err.value)
+    rc = main(["integrate", "--curve", "y^2 - x", "--integrand", integrand])
+    assert rc == 2
+    assert message in capsys.readouterr().err
+    out = run_record({"name": "probe", "curve": "y^2 - x", "integrand": integrand})
+    assert out["status"] == "error"
+    assert out["error"].startswith("ExprSyntaxError: ")
+
+
+def test_exponent_bound_admits_the_bound_itself(parabola):
+    assert build_element(f"x^{MAX_EXPONENT}", parabola) == parabola.from_x(
+        parabola.xfrac.gen ** MAX_EXPONENT
+    )
+    assert build_element(f"x^-{MAX_EXPONENT}", parabola) * build_element(
+        f"x^{MAX_EXPONENT}", parabola
+    ) == parabola.one()
+
+
+def test_corpus_line_that_is_not_json_is_an_error_record(capsys, tmp_path):
+    path = tmp_path / "broken.jsonl"
+    path.write_text(
+        json.dumps({"name": "good", "curve": "y^2 - x", "integrand": "y/x^3"})
+        + "\n{not json\n"
+    )
+    assert main(["corpus", str(path), "--format", "structured"]) == 1
+    doc = json.loads(capsys.readouterr().out)
+    good, bad = doc["entries"]
+    assert good["status"] == "ok"
+    assert set(bad) == set(run_record([]))
+    assert bad["status"] == "error"
+    assert bad["error"].startswith("JSONDecodeError: ")
+    assert doc["summary"] == {"total": 2, "ok": 1, "mismatch": 0, "error": 1}
 
 
 def test_corpus_continues_past_bad_records(capsys, tmp_path):

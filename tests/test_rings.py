@@ -20,10 +20,8 @@ from algint.rings import (
     lcm,
     lcm_many,
     poly_crt,
-    resultant,
     square_part_root,
     squarefree_decomposition,
-    squarefree_part,
 )
 
 from conftest import polys_over_qq, ratfuncs_over_qq, small_fractions
@@ -78,23 +76,11 @@ def test_square_part_root_frozen():
     p = P(1, 1) ** 3 * P(0, 1) ** 2
     # square part is (x+1)^2 * x^2, its root (x+1)*x
     assert square_part_root(p) == P(0, 1) * P(1, 1)
-    assert squarefree_part(p) == P(0, 1) * P(1, 1)
 
 
 def test_is_squarefree():
     assert is_squarefree(P(1, 1) * P(0, 1))
     assert not is_squarefree(P(0, 0, 1))
-
-
-def test_resultant_linear_factors():
-    # res(f, g) = lc(f)^deg g * prod g(root) over roots of f
-    f = P(-1, 1) * P(2, 1)  # roots 1, -2
-    g = P(-3, 1)            # g(1) = -2, g(-2) = -5
-    assert resultant(f, g) == Fraction(10)
-
-
-def test_resultant_detects_common_root():
-    assert resultant(P(-1, 1) * P(1, 1), P(-1, 1)) == Fraction(0)
 
 
 def test_invert_mod_frozen():
@@ -171,17 +157,6 @@ def test_squarefree_decomposition_reassembles(p):
 def test_square_part_root_squared_divides(p):
     r = square_part_root(p)
     assert not p % (r * r)
-    assert is_squarefree(squarefree_part(p))
-
-
-nonconstant_polys = polys_over_qq(max_degree=2, nonzero=True).filter(
-    lambda p: p.degree >= 1
-)
-
-
-@given(nonconstant_polys, nonconstant_polys, nonconstant_polys)
-def test_resultant_multiplicative(f, g, h):
-    assert resultant(f * g, h) == resultant(f, h) * resultant(g, h)
 
 
 @given(polys_over_qq(), polys_over_qq())
