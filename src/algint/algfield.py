@@ -26,10 +26,10 @@ from .rings import (
     QT,
     Poly,
     PolyRing,
+    common_denominator,
     ext_gcd,
     gcd,
     is_squarefree,
-    lcm_many,
     squarefree_decomposition,
     x_frac_field,
     x_poly_ring,
@@ -321,10 +321,8 @@ class FieldBasis:
             self.trans_inv = inverse(self.trans, xfrac)
         except RankDeficient:
             raise RankDeficient("proposed basis is K(x)-linearly dependent")
-        deriv_rows = [self.coords_of(w.dx()) for w in self.elements]
-        self.e = lcm_many([c.den for row in deriv_rows for c in row])
-        self.mmat = mat(
-            tuple((c * self.e).as_poly() for c in row) for row in deriv_rows
+        self.e, self.mmat = common_denominator(
+            [self.coords_of(w.dx()) for w in self.elements]
         )
         self.e_squarefree = is_squarefree(self.e)
 
@@ -369,18 +367,11 @@ class FieldBasis:
         """Basis of the K[x]-module generated by this basis and new_elements."""
         cur = self.curve
         gens = list(self.elements) + list(new_elements)
-        coords = [g.coords() for g in gens]
-        den = lcm_many([c.den for row in coords for c in row])
-        rows = [
-            tuple((c * den).as_poly() for c in row) for row in coords
-        ]
+        den, rows = common_denominator([g.coords() for g in gens])
         h = hnf_rows(rows, cur.xring)
         if len(h) < cur.n:
             raise RankDeficient("enlarged module does not have full rank")
-        den_rf = cur.xfrac.of(den)
-        new_elems = [
-            cur.from_coords([cur.xfrac.of(p) / den_rf for p in row]) for row in h
-        ]
+        new_elems = [cur.from_coords([cur.xfrac.of(p, den) for p in row]) for row in h]
         return FieldBasis(cur, new_elems)
 
     def module_contains(self, other):
@@ -459,10 +450,8 @@ def _repair_suitability(basis):
             for v in leaf.cokernel:
                 if v not in vectors:
                     vectors.append(v)
-        p_rf = cur.xfrac.of(p)
         for c in vectors:
-            combo = basis.combine([cur.xfrac.of(ci) for ci in c])
-            candidates.append(combo * cur.from_x(cur.xfrac.one / p_rf))
+            candidates.append(basis.combine([cur.xfrac.of(ci, p) for ci in c]))
         theta, rejected = basis.first_new_integral(candidates)
         tried.extend(rejected)
         if theta is not None:

@@ -19,7 +19,6 @@ import argparse
 import json
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 
 from .errors import (
     AlgintError,
@@ -82,9 +81,20 @@ def _cmd_decompose(args):
     }
 
 
+_ANTIDERIVATIVE_CHECK_FAILED = "antiderivative check failed"
+
+
+def _antiderivative_checks_out(dec, f):
+    """Does the antiderivative of dec, if any, differentiate back to f?"""
+    anti = dec.antiderivative()
+    return anti is None or anti.dx() == f
+
+
 def _cmd_integrate(args):
     field, curve, f = _setup(args)
     dec = additive_decompose(f)
+    if not _antiderivative_checks_out(dec, f):
+        raise AlgintError(_ANTIDERIVATIVE_CHECK_FAILED)
     anti = dec.antiderivative()
     return field, {
         "integrable": dec.integrable,
@@ -224,7 +234,7 @@ def _record_problem(record):
     return None
 
 
-def run_record(record, max_order_default=20):
+def run_record(record):
     """Run one corpus record; never raises, reports errors in the result."""
     fields = record if isinstance(record, dict) else {}
     mode = str(fields.get("mode", "integrate"))
@@ -246,7 +256,7 @@ def run_record(record, max_order_default=20):
         curve = build_curve(record["curve"], field)
         f = build_element(record["integrand"], curve)
         if mode == "telescope":
-            tele = telescope(f, max_order=record.get("max_order", max_order_default))
+            tele = telescope(f, max_order=record.get("max_order", 20))
             out["result"] = {
                 "order": tele.order,
                 "coefficients": [str(c) for c in tele.coeffs],
@@ -261,11 +271,11 @@ def run_record(record, max_order_default=20):
                 )
         elif mode in ("integrate", "decompose"):
             dec = additive_decompose(f)
-            anti = dec.antiderivative()
-            if anti is not None and anti.dx() != f:
+            if not _antiderivative_checks_out(dec, f):
                 out["status"] = "error"
-                out["error"] = "antiderivative check failed"
+                out["error"] = _ANTIDERIVATIVE_CHECK_FAILED
                 return out
+            anti = dec.antiderivative()
             out["result"] = {
                 "integrable": dec.integrable,
                 "antiderivative": None if anti is None else str(anti),
@@ -289,22 +299,31 @@ def run_record(record, max_order_default=20):
     return out
 
 
-def _run_line(line):
-    """run_record on one corpus line; a line that is not valid JSON gives
-    the error record of a record that is not an object."""
+def _run_line(numbered):
+    """run_record on one (1-based line number, text) corpus line; a line
+    that is not valid JSON gives the error record of a record that is not
+    an object, naming the line."""
+    number, line = numbered
     try:
         record = json.loads(line)
     except json.JSONDecodeError as exc:
         out = run_record(None)
-        out["error"] = f"{type(exc).__name__}: {exc}"
+        out["error"] = f"{type(exc).__name__}: corpus line {number}: {exc}"
         return out
     return run_record(record)
 
 
 def _cmd_corpus(args):
     with open(args.path, "r", encoding="utf-8") as fh:
-        lines = [line for line in fh if line.strip() and not line.startswith("#")]
+        lines = [
+            (number, line)
+            for number, line in enumerate(fh, 1)
+            if line.strip() and not line.startswith("#")
+        ]
     if args.jobs > 1:
+        # imported here: the process pool costs every other run start-up time
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             results = list(pool.map(_run_line, lines))
     else:

@@ -4,8 +4,8 @@ Works with any basis W of integral elements whose derivation denominator e
 is squarefree.  Each step removes one order from a repeated pole by solving
 a row system modulo the squarefree layer v; when the system is degenerate
 the step instead certifies a new integral element outside the current
-module, the module is enlarged, and the reduction restarts from scratch on
-the same integrand.
+module, the module is enlarged, and the current integrand is presented
+anew over it.
 
 The reduction never computes an integral basis.  Degenerate systems are the
 only source of module enlargements, and each enlargement strictly divides
@@ -20,7 +20,7 @@ from typing import Optional
 from .algfield import AlgElem, FieldBasis, initial_suitable_basis
 from .errors import AlgintError, UpdateCandidatesExhausted
 from .linalg import SolveOutcome, solve_mod, vec_mat
-from .rings import Poly, gcd, lcm_many, squarefree_decomposition
+from .rings import Poly, common_denominator, gcd, squarefree_decomposition
 
 
 @dataclass(frozen=True)
@@ -35,9 +35,7 @@ class PolePresentation:
     numer: tuple
 
     def element(self):
-        cur = self.basis.curve
-        den = cur.xfrac.of(self.u * self.v**self.d)
-        return self.basis.combine([cur.xfrac.of(a) / den for a in self.numer])
+        return _element(self.basis, self.u * self.v**self.d, self.numer)
 
 
 @dataclass(frozen=True)
@@ -50,21 +48,29 @@ class Remainder:
     nums: tuple
 
     def element(self):
-        cur = self.basis.curve
-        den = cur.xfrac.of(self.d * self.basis.e)
-        return self.basis.combine([cur.xfrac.of(a) / den for a in self.nums])
+        return _element(self.basis, self.d * self.basis.e, self.nums)
+
+
+def _element(basis, den, numer):
+    """(1/den) * numer*W as a field element."""
+    xf = basis.curve.xfrac
+    return basis.combine([xf.of(a, den) for a in numer])
 
 
 @dataclass(frozen=True)
 class StepReduced:
+    """f = g_part' + (1/rest_den) * rest_numer*W over the step's basis."""
+
     g_part: AlgElem
-    rest: AlgElem
+    rest_den: Poly
+    rest_numer: tuple
     outcome: SolveOutcome
 
 
 @dataclass(frozen=True)
 class StepDegenerate:
     presentation: PolePresentation
+    matrix: tuple
     outcome: SolveOutcome
 
 
@@ -79,16 +85,23 @@ class HermiteResult:
 def present(f, basis):
     """Rewrite f over the basis as a PolePresentation (repeated poles left)
     or a normalized Remainder (denominator squarefree)."""
-    cur = basis.curve
-    ring = cur.xring
-    coords = basis.coords_of(f)
-    q = lcm_many([c.den for c in coords])
-    numer = tuple((c * cur.xfrac.of(q)).as_poly() for c in coords)
+    q, (numer,) = common_denominator([basis.coords_of(f)])
+    return _present(basis, q, numer)
+
+
+def _present(basis, q, numer):
+    """present() of (1/q) * numer*W, with q monic."""
+    g = q
+    for a in numer:
+        g = gcd(g, a)
+    if g.degree > 0:
+        q = q.exact_div(g)
+        numer = tuple(a.exact_div(g) for a in numer)
     _, factors = squarefree_decomposition(q)
     d = max((mult for _, mult in factors), default=0)
     if d <= 1:
         return _normalize_remainder(basis, q, numer)
-    v = ring.one
+    v = basis.curve.xring.one
     for p, mult in factors:
         if mult == d:
             v = v * p
@@ -111,60 +124,47 @@ def _normalize_remainder(basis, q, numer):
     return Remainder(basis=basis, d=d, nums=nums)
 
 
-def _step_system(pres):
-    basis = pres.basis
-    ring = basis.curve.xring
-    n = basis.curve.n
-    uv_over_e = (pres.u * pres.v).exact_div(basis.e)
-    shift = pres.u * pres.v.derivative() * ring.from_int(pres.d - 1)
-    matrix = tuple(
-        tuple(
-            uv_over_e * basis.mmat[i][j] - (shift if i == j else ring.zero)
-            for j in range(n)
-        )
-        for i in range(n)
-    )
-    return matrix
-
-
 def hermite_step(pres):
     """One reduction step.  Solves b*(uv/e * M - (d-1)*u*v'*I) = numer mod v.
 
     A unique solution yields g = (1/v^(d-1)) * b*W and the reduced rest of
-    the integrand.  A degenerate system is returned with its solve outcome
-    so the caller can extract update candidates (or, for a solvable but
-    underdetermined system, still apply the particular solution).
+    the integrand.  A degenerate system is returned with its matrix and solve
+    outcome so the caller can extract update candidates (or, for a solvable
+    but underdetermined system, still apply the particular solution).
     """
     basis = pres.basis
     ring = basis.curve.xring
-    matrix = _step_system(pres)
+    uv_over_e = (pres.u * pres.v).exact_div(basis.e)
+    shift = pres.u * pres.v.derivative() * ring.from_int(pres.d - 1)
+    matrix = tuple(
+        tuple(
+            uv_over_e * p - (shift if i == j else ring.zero)
+            for j, p in enumerate(row)
+        )
+        for i, row in enumerate(basis.mmat)
+    )
     outcome = solve_mod(matrix, pres.numer, pres.v, ring)
     if outcome.status == "unique":
-        return _apply_solution(pres, outcome)
-    return StepDegenerate(presentation=pres, outcome=outcome)
+        return _apply_solution(pres, matrix, outcome)
+    return StepDegenerate(presentation=pres, matrix=matrix, outcome=outcome)
 
 
-def _apply_solution(pres, outcome):
-    basis = pres.basis
-    cur = basis.curve
-    ring = cur.xring
+def _apply_solution(pres, matrix, outcome):
+    """f - g' = (1/(u*v^(d-1))) * ((numer - u*v*b' - b*matrix)/v)*W for
+    g = (1/v^(d-1)) * b*W."""
     b = outcome.solution
     vpow = pres.v ** (pres.d - 1)
-    g_den = cur.xfrac.of(vpow)
-    g_part = basis.combine([cur.xfrac.of(bi) / g_den for bi in b])
     uv = pres.u * pres.v
-    uv_over_e = uv.exact_div(basis.e)
-    bm = vec_mat(b, basis.mmat)
-    shift = pres.u * pres.v.derivative() * ring.from_int(pres.d - 1)
-    bracket = [
-        pres.numer[i] - uv * b[i].derivative() - uv_over_e * bm[i] + shift * b[i]
-        for i in range(cur.n)
-    ]
-    rest_den = cur.xfrac.of(pres.u * vpow)
-    rest = basis.combine(
-        [cur.xfrac.of(c.exact_div(pres.v)) / rest_den for c in bracket]
+    rest_numer = tuple(
+        (a - uv * bi.derivative() - bm).exact_div(pres.v)
+        for a, bi, bm in zip(pres.numer, b, vec_mat(b, matrix))
     )
-    return StepReduced(g_part=g_part, rest=rest, outcome=outcome)
+    return StepReduced(
+        g_part=_element(pres.basis, vpow, b),
+        rest_den=pres.u * vpow,
+        rest_numer=rest_numer,
+        outcome=outcome,
+    )
 
 
 def basis_update(step):
@@ -205,9 +205,9 @@ def basis_update(step):
                 theta = theta + cur.from_x(cur.xfrac.of(ci)) * w.dx()
             candidates.append(u_elem * theta)
     for leaf, vectors in leaf_vectors:
-        w_inv = cur.from_x(cur.xfrac.of(leaf.modulus)).inv()
         for c in vectors:
-            candidates.append(basis.combine([cur.xfrac.of(ci) for ci in c]) * w_inv)
+            quotient = [cur.xfrac.of(ci, leaf.modulus) for ci in c]
+            candidates.append(basis.combine(quotient))
     theta, rejected = basis.first_new_integral(candidates)
     if theta is None:
         raise UpdateCandidatesExhausted(
@@ -221,8 +221,9 @@ def lazy_hermite_reduce(f, basis: Optional[FieldBasis] = None):
 
     Returns a HermiteResult carrying the derivative part g, the normalized
     remainder h, the final (possibly enlarged) basis, and the integral
-    elements adjoined along the way.  The reduction recomputes the pole
-    presentation from scratch after every module update.
+    elements adjoined along the way.  Between steps the integrand stays in
+    the presentation (1/(u*v^d)) * numer*W; only a module update rebuilds
+    it, by presenting the current integrand over the enlarged basis.
 
     Termination: a reduction step leaves a rest whose denominator divides
     u*v^(d-1), and every factor of u has multiplicity below d, so on an
@@ -233,18 +234,10 @@ def lazy_hermite_reduce(f, basis: Optional[FieldBasis] = None):
     if basis is None:
         basis = initial_suitable_basis(f.curve)
     g_total = f.curve.zero()
-    current = f
     adjoined = []
+    pres = present(f, basis)
     last_d = None  # pole order the previous step reduced on this basis
-    while True:
-        pres = present(current, basis)
-        if isinstance(pres, Remainder):
-            return HermiteResult(
-                g_part=g_total,
-                remainder=pres,
-                basis=basis,
-                adjoined=tuple(adjoined),
-            )
+    while isinstance(pres, PolePresentation):
         if last_d is not None and pres.d >= last_d:
             raise AlgintError(
                 f"a reduction step left pole order {pres.d}, not below {last_d}"
@@ -258,12 +251,16 @@ def lazy_hermite_reduce(f, basis: Optional[FieldBasis] = None):
                     raise
                 # forced reduction with the particular solution of a
                 # solvable but underdetermined step
-                step = _apply_solution(pres, step.outcome)
+                step = _apply_solution(pres, step.matrix, step.outcome)
             else:
                 adjoined.append(theta)
                 basis = basis.enlarge([theta])
+                pres = present(pres.element(), basis)
                 last_d = None
                 continue
         g_total = g_total + step.g_part
-        current = step.rest
         last_d = pres.d
+        pres = _present(basis, step.rest_den, step.rest_numer)
+    return HermiteResult(
+        g_part=g_total, remainder=pres, basis=basis, adjoined=tuple(adjoined)
+    )

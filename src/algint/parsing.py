@@ -32,9 +32,10 @@ from .rings import (
     QT,
     T_POLY,
     FracField,
+    Poly,
     PolyRing,
+    common_denominator,
     gcd,
-    lcm_many,
     x_frac_field,
     x_poly_ring,
 )
@@ -244,15 +245,12 @@ def build_curve(text, const_field):
     poly = value.num / value.den.constant_term()
     if poly.degree < 1:
         raise DomainError("curve must involve y")
-    den = lcm_many([c.den for c in poly.coeffs if c])
-    cleared = [(c * xfrac.of(den)).as_poly() for c in poly.coeffs]
+    _, (cleared,) = common_denominator([poly.coeffs])
     content = None
     for p in cleared:
         if p:
             content = p if content is None else gcd(content, p)
     primitive = [xfrac.of(p.exact_div(content)) for p in cleared]
-    from .rings import Poly
-
     return Curve(Poly(yring, tuple(primitive)), const_field)
 
 

@@ -23,7 +23,7 @@ from .algfield import AlgElem, FieldBasis, discriminant, power_basis
 from .errors import AlgintError, RankDeficient, SuitabilityFailure
 from .hermite import HermiteResult, lazy_hermite_reduce
 from .linalg import nullspace, transpose, vec_mat
-from .rings import Poly, invert_mod, lcm_many, square_part_root
+from .rings import Poly, common_denominator, invert_mod, lcm_many, square_part_root
 
 
 def _val_inf(rf):
@@ -45,27 +45,6 @@ def infinity_scale(w):
     raise AlgintError("no power of x makes the element integral at infinity")
 
 
-@dataclass(frozen=True)
-class InfinityBasis:
-    """Basis V, integral at infinity, with a*V' = B*V where every entry of
-    B has degree below deg a.  a_min and b_min name the minimal such data;
-    the decomposition may work with a polynomial multiple of a_min."""
-
-    vb: FieldBasis
-
-    @property
-    def elements(self):
-        return self.vb.elements
-
-    @property
-    def a_min(self):
-        return self.vb.e
-
-    @property
-    def b_min(self):
-        return self.vb.mmat
-
-
 def _max_deg(rows):
     out = -1
     for row in rows:
@@ -80,14 +59,16 @@ def _suitable_at_inf(vb):
 
 
 def suitable_at_infinity(curve):
-    """Build an InfinityBasis by scaling an integral basis down by powers of
-    x and enlarging the local module at infinity until the derivation data
-    is suitable there."""
+    """Basis V, integral at infinity, whose derivation data e*V' = M*V has
+    every entry of M of degree below deg e.  Built by scaling an integral
+    basis down by powers of x and enlarging the local module at infinity
+    until the derivation data is suitable there; the decomposition may work
+    with a polynomial multiple of e."""
     start = power_basis(curve)
     vb = FieldBasis(curve, [infinity_scale(w) for w in start.elements])
     for _ in range(64):
         if _suitable_at_inf(vb):
-            return InfinityBasis(vb=vb)
+            return vb
         vb = _repair_at_infinity(vb)
     raise SuitabilityFailure("enlargement at infinity did not stabilize")
 
@@ -428,7 +409,7 @@ class AdditiveDecomp:
     basis: FieldBasis
     d: Poly
     p_nums: tuple
-    inf_basis: InfinityBasis
+    inf_basis: FieldBasis
     a: Poly
     q_nums: tuple
     u: Poly
@@ -442,14 +423,9 @@ class AdditiveDecomp:
         return self.g if self.integrable else None
 
     def remainder_element(self):
-        cur = self.basis.curve
-        xf = cur.xfrac
-        d_rf = xf.of(self.d)
-        part = self.basis.combine([xf.of(p) / d_rf for p in self.p_nums])
-        a_rf = xf.of(self.a)
-        vb = self.inf_basis.vb
-        part = part + vb.combine([xf.of(q) / a_rf for q in self.q_nums])
-        return part
+        xf = self.basis.curve.xfrac
+        part = self.basis.combine([xf.of(p, self.d) for p in self.p_nums])
+        return part + self.inf_basis.combine([xf.of(q, self.a) for q in self.q_nums])
 
 
 class Decomposer:
@@ -471,10 +447,8 @@ class Decomposer:
         hit = self._complements.get(key)
         if hit is None:
             inf = self.inf_basis
-            scale = a.exact_div(inf.a_min)
-            bmat = tuple(
-                tuple(scale * p for p in row) for row in inf.b_min
-            )
+            scale = a.exact_div(inf.e)
+            bmat = tuple(tuple(scale * p for p in row) for row in inf.mmat)
             phi = PhiMap(u=u, a=a, bmat=bmat)
             hit = ComplementNV(phi, self.curve.n, self.curve.field)
             self._complements[key] = hit
@@ -484,20 +458,14 @@ class Decomposer:
         """Additive decomposition of f.  u_mult and a_mult force the working
         u and a to be multiples of the given polynomials, so several
         decompositions can share one image complement."""
-        cur = self.curve
-        xf = cur.xfrac
+        xf = self.curve.xfrac
         her = lazy_hermite_reduce(f, basis)
         w_basis = her.basis
         d, r, s = euclid_split(her.remainder)
         inf = self.inf_basis
-        vb = inf.vb
-        rows = [vb.coords_of(w) for w in w_basis.elements]
-        b = lcm_many([c.den for row in rows for c in row])
-        cmat = tuple(
-            tuple((c * xf.of(b)).as_poly() for c in row) for row in rows
-        )
+        b, cmat = common_denominator([inf.coords_of(w) for w in w_basis.elements])
         eb = w_basis.e * b
-        a_parts = [inf.a_min, eb]
+        a_parts = [inf.e, eb]
         if a_mult is not None:
             a_parts.append(a_mult)
         a = lcm_many(a_parts)
@@ -509,8 +477,7 @@ class Decomposer:
             u = lcm_many([u, u_mult])
         comp = self.complement(u, a)
         p1, q2 = comp.reduce(utilde)
-        u_rf = xf.of(u)
-        g = her.g_part + vb.combine([xf.of(p) / u_rf for p in p1])
+        g = her.g_part + inf.combine([xf.of(p, u) for p in p1])
         return AdditiveDecomp(
             g=g,
             basis=w_basis,
@@ -524,11 +491,11 @@ class Decomposer:
         )
 
 
-def additive_decompose(f, basis=None):
+def additive_decompose(f):
     """Decompose f = g' + h with h minimal; convenience entry point."""
-    return Decomposer(f.curve).decompose(f, basis)
+    return Decomposer(f.curve).decompose(f)
 
 
-def antiderivative(f, basis=None):
+def antiderivative(f):
     """Exact antiderivative of f, or None if f is not integrable."""
-    return additive_decompose(f, basis=basis).antiderivative()
+    return additive_decompose(f).antiderivative()

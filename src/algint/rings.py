@@ -629,6 +629,15 @@ def lcm_many(polys):
     return m
 
 
+def common_denominator(rows):
+    """(den, numerators) for rows of fractions: den is the monic lcm of all
+    their denominators, and numerators the polynomial rows over it."""
+    den = lcm_many([c.den for row in rows for c in row])
+    return den, tuple(
+        tuple(c.num * den.exact_div(c.den) for c in row) for row in rows
+    )
+
+
 def ext_gcd(p, q):
     """Return (g, s, t) with g = s*p + t*q and g the monic gcd.
 

@@ -30,7 +30,7 @@ from .errors import (
 )
 from .linalg import nullspace
 from .polyred import Decomposer
-from .rings import QT, lcm_many
+from .rings import QT, common_denominator
 
 
 @dataclass
@@ -100,12 +100,7 @@ def _const(curve, c):
 
 def _dependency_matrix(entries):
     curve = entries[0].h_elem.curve
-    coords = [en.h_elem.coords() for en in entries]
-    dens = [c.den for row in coords for c in row]
-    dstar = lcm_many(dens)
-    nums = [
-        [c.num * dstar.exact_div(c.den) for c in row] for row in coords
-    ]
+    _, nums = common_denominator([en.h_elem.coords() for en in entries])
     rows = []
     for j in range(curve.n):
         degmax = max(nums[i][j].degree for i in range(len(entries)))
@@ -147,8 +142,7 @@ def find_dependency(entries):
 def _normalize_dependency(vec):
     """Scale a Q(t) dependency to integer polynomials in t without common
     content, the last nonzero one with a positive leading coefficient."""
-    dlcm = lcm_many([c.den for c in vec])
-    polys = [c.num * dlcm.exact_div(c.den) for c in vec]
+    _, (polys,) = common_denominator([vec])
     denlcm = math.lcm(*(c.denominator for p in polys for c in p.coeffs))
     polys = [p * Fraction(denlcm) for p in polys]
     g = math.gcd(*(int(c) for p in polys for c in p.coeffs))

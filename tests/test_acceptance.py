@@ -350,7 +350,7 @@ def test_criterion_08_complement_stability():
         curve = build_curve(text, field)
         dec = Decomposer(curve)
         u = curve.xring.poly([field.one, field.zero, field.one])  # x^2 + 1
-        comp = dec.complement(u, dec.inf_basis.a_min * u)
+        comp = dec.complement(u, dec.inf_basis.e * u)
         dims.append(len(comp.standard_monomials()))
         ok = ok and complement_is_final(comp)
     _report(

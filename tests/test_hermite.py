@@ -101,8 +101,11 @@ def test_unique_step_removes_a_pole_order(parabola):
     # coordinates on (x, x*y) put x^3(x+1) in the denominator
     assert pres.d == 3
     step = hermite_step(pres)
-    assert f == step.g_part.dx() + step.rest
-    rest_pres = present(step.rest, bases["(x, x*y)"])
+    assert step.rest_den == pres.u * pres.v ** (pres.d - 1)
+    basis = bases["(x, x*y)"]
+    rest = hermite._element(basis, step.rest_den, step.rest_numer)
+    assert f == step.g_part.dx() + rest
+    rest_pres = present(rest, basis)
     assert rest_pres.d == 2  # one multiplicity peeled off
 
 
@@ -226,16 +229,21 @@ def test_step_without_progress_is_an_error(parabola, monkeypatch):
     # a step whose rest keeps the pole order breaks the termination
     # measure; the reduction must refuse it at once instead of looping
     presented = []
-    real_present = hermite.present
+    real_present = hermite._present
 
-    def counting_present(f, basis):
-        presented.append(f)
-        return real_present(f, basis)
+    def counting_present(basis, q, numer):
+        presented.append(q)
+        return real_present(basis, q, numer)
 
     def stalled_step(pres):
-        return StepReduced(g_part=parabola.zero(), rest=pres.element(), outcome=None)
+        return StepReduced(
+            g_part=parabola.zero(),
+            rest_den=pres.u * pres.v**pres.d,
+            rest_numer=pres.numer,
+            outcome=None,
+        )
 
-    monkeypatch.setattr(hermite, "present", counting_present)
+    monkeypatch.setattr(hermite, "_present", counting_present)
     monkeypatch.setattr(hermite, "hermite_step", stalled_step)
     with pytest.raises(AlgintError, match="pole order"):
         lazy_hermite_reduce(elem(parabola, "y/x^3"))

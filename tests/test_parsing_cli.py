@@ -1,6 +1,9 @@
 """Expression grammar, round-trip printing, and the command-line surface."""
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,6 +16,7 @@ from algint.errors import (
     UnknownVariable,
 )
 from algint.parsing import MAX_EXPONENT, build_curve, build_element, field_for, uses_t
+from algint.polyred import AdditiveDecomp
 from algint.rings import QQ, QT, POLY_X_QQ
 
 from conftest import curve_elements, small_fractions
@@ -160,6 +164,31 @@ def test_cli_suitability_exit_code(monkeypatch, capsys):
     monkeypatch.setattr(cli_mod, "_setup", boom)
     rc = main(["integrate", "--curve", "y^2 - x", "--integrand", "y"])
     assert rc == 4
+
+
+def test_wrong_antiderivative_fails_its_check(monkeypatch, capsys):
+    # both the CLI and the corpus runner re-differentiate the antiderivative
+    monkeypatch.setattr(AdditiveDecomp, "antiderivative", lambda dec: dec.g + dec.g)
+    rc = main(["integrate", "--curve", "y^2 - x", "--integrand", "y/x^3"])
+    captured = capsys.readouterr()
+    assert rc == 3
+    assert "antiderivative check failed" in captured.err
+    assert "antiderivative =" not in captured.out
+    out = run_record({"name": "probe", "curve": "y^2 - x", "integrand": "y/x^3"})
+    assert out == {
+        "name": "probe", "mode": "integrate", "status": "error",
+        "error": "antiderivative check failed",
+    }
+
+
+def test_cli_import_leaves_the_process_pool_out():
+    code = "import sys, algint.cli; print('concurrent.futures.process' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"
 
 
 def test_cli_structured_output_is_deterministic(capsys):
@@ -313,14 +342,16 @@ def test_corpus_line_that_is_not_json_is_an_error_record(capsys, tmp_path):
         json.dumps({"name": "good", "curve": "y^2 - x", "integrand": "y/x^3"})
         + "\n{not json\n"
     )
-    assert main(["corpus", str(path), "--format", "structured"]) == 1
-    doc = json.loads(capsys.readouterr().out)
-    good, bad = doc["entries"]
-    assert good["status"] == "ok"
-    assert set(bad) == set(run_record([]))
-    assert bad["status"] == "error"
-    assert bad["error"].startswith("JSONDecodeError: ")
-    assert doc["summary"] == {"total": 2, "ok": 1, "mismatch": 0, "error": 1}
+    for jobs in ("1", "2"):
+        argv = ["corpus", str(path), "--format", "structured", "--jobs", jobs]
+        assert main(argv) == 1
+        doc = json.loads(capsys.readouterr().out)
+        good, bad = doc["entries"]
+        assert good["status"] == "ok"
+        assert set(bad) == set(run_record([]))
+        assert bad["status"] == "error"
+        assert bad["error"].startswith("JSONDecodeError: corpus line 2: ")
+        assert doc["summary"] == {"total": 2, "ok": 1, "mismatch": 0, "error": 1}
 
 
 def test_corpus_continues_past_bad_records(capsys, tmp_path):
