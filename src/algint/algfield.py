@@ -1,10 +1,11 @@
 """The algebraic function field A = K(x)[y]/<m> and its bases.
 
 Elements are polynomials in y of degree < n with coefficients in K(x),
-reduced against the monic defining polynomial.  The curve caches the
-implicit derivatives dy/dx and dy/dt.  Irreducibility of m is assumed, not
-checked: any inversion that stumbles over a zero divisor raises
-CurveReducible with the discovered factor.
+reduced against the monic defining polynomial.  The curve caches y' per
+derivation.  A quadratic m is refuted at construction when it factors;
+otherwise irreducibility of m is assumed, not checked: any inversion that
+stumbles over a zero divisor raises CurveReducible with the discovered
+factor.
 
 A FieldBasis carries a K(x)-basis W of A together with the derivation data
 (e, M) satisfying e*W' = M*W, where e is the monic least common denominator.
@@ -26,10 +27,11 @@ from .rings import (
     QT,
     Poly,
     PolyRing,
+    RatFunc,
     common_denominator,
     ext_gcd,
-    gcd,
     is_squarefree,
+    square_root,
     squarefree_decomposition,
     x_frac_field,
     x_poly_ring,
@@ -52,8 +54,13 @@ class Curve:
         self.m = ypoly.monic()
         self.n = ypoly.degree
         self.m_y = self.m.derivative()
-        self._dydx = None
-        self._dydt = None
+        self._dy = {}
+        if self.n == 2:
+            # y^2 + b*y + c factors iff b^2 - 4c is a square s^2 in K(x)
+            c, b, _ = self.m.coeffs
+            s = square_root(b * b - c * 4)
+            if s is not None:
+                raise CurveReducible(self.yring.poly([(b - s) / 2, 1]))
 
     def __eq__(self, other):
         return self is other or (
@@ -97,31 +104,20 @@ class Curve:
             raise CurveReducible(g)
         return s % self.m
 
-    @property
-    def dydx(self):
-        if self._dydx is None:
-            m_x = Poly(self.yring, tuple(c.derivative() for c in self.m.coeffs))
-            if gcd(self.m_y, self.m).degree > 0:
-                raise CurveReducible(gcd(self.m_y, self.m))
-            self._dydx = (-m_x * self._inv_ypoly(self.m_y)) % self.m
-        return self._dydx
-
-    @property
-    def dydt(self):
-        if self.field != QT:
-            raise PreconditionError("t-derivation requires the coefficient field QQ(t)")
-        if self._dydt is None:
-            m_t = Poly(self.yring, tuple(_dt_ratfunc(c) for c in self.m.coeffs))
-            self._dydt = (-m_t * self._inv_ypoly(self.m_y)) % self.m
-        return self._dydt
+    def dy(self, dcoeff):
+        """y' under the derivation that acts on K(x) as dcoeff, from
+        m(y) = 0: y' = -m^dcoeff(y) / m_y(y), cached per derivation."""
+        dy = self._dy.get(dcoeff)
+        if dy is None:
+            m_d = Poly(self.yring, tuple(dcoeff(c) for c in self.m.coeffs))
+            dy = self._dy[dcoeff] = (-m_d * self._inv_ypoly(self.m_y)) % self.m
+        return dy
 
 
-def _dt_ratfunc(c):
-    """d/dt on an element of K(t)(x), applied coefficient-wise in x."""
-    ring = c.num.ring
-    num_t = c.num.map_coeffs(lambda q: q.derivative(), ring)
-    den_t = c.den.map_coeffs(lambda q: q.derivative(), ring)
-    return c.field.of(num_t * c.den - c.num * den_t, c.den * c.den)
+def _dt_coeff(c):
+    """d/dt on Q(t)(x): the quotient rule, with d/dt on Q(t)[x] acting on
+    each coefficient in Q(t) by the same rule."""
+    return c.derivative(lambda p: Poly(p.ring, tuple(a.derivative() for a in p.coeffs)))
 
 
 class AlgElem:
@@ -220,16 +216,19 @@ class AlgElem:
 
     def dx(self):
         """The derivation extending d/dx, with dx(y) determined implicitly."""
-        cur = self.curve
-        coeff_part = Poly(cur.yring, tuple(c.derivative() for c in self.poly.coeffs))
-        chain_part = (self.poly.derivative() * cur.dydx) % cur.m
-        return AlgElem(cur, coeff_part + chain_part)
+        return self._derive(RatFunc.derivative)
 
     def dt(self):
+        """The derivation extending d/dt on Q(t)(x), with dt(x) = 0."""
+        if self.curve.field != QT:
+            raise PreconditionError("t-derivation requires the coefficient field QQ(t)")
+        return self._derive(_dt_coeff)
+
+    def _derive(self, dcoeff):
+        """The chain rule: dcoeff on each coefficient, plus poly_y * y'."""
         cur = self.curve
-        chain = cur.dydt  # raises before any coefficient work on a t-free field
-        coeff_part = Poly(cur.yring, tuple(_dt_ratfunc(c) for c in self.poly.coeffs))
-        chain_part = (self.poly.derivative() * chain) % cur.m
+        coeff_part = Poly(cur.yring, tuple(dcoeff(c) for c in self.poly.coeffs))
+        chain_part = (self.poly.derivative() * cur.dy(dcoeff)) % cur.m
         return AlgElem(cur, coeff_part + chain_part)
 
     def mult_matrix(self):
@@ -377,23 +376,6 @@ class FieldBasis:
     def module_contains(self, other):
         return all(self.member(w) for w in other.elements)
 
-    def module_equal(self, other):
-        """Do both bases span the same K[x]-module?  An oracle for the tests."""
-        return self.module_contains(other) and other.module_contains(self)
-
-    def transition_from(self, other):
-        """Polynomial matrix T with other's elements = T * self's elements.
-
-        Requires other's module to be contained in this one's.
-        """
-        rows = []
-        for w in other.elements:
-            c = self.member_coords(w)
-            if c is None:
-                return None
-            rows.append(c)
-        return mat(rows)
-
     def __repr__(self):
         return f"FieldBasis({', '.join(str(w) for w in self.elements)})"
 
@@ -426,10 +408,10 @@ def initial_suitable_basis(curve):
 def _repair_suitability(basis):
     """One certified module enlargement for a basis with non-squarefree e.
 
-    Candidates, tried in a fixed order: (e/p) * w_i' for each basis element,
-    then (1/p) * c * W for kernel vectors c of M mod p, where p runs over the
-    repeated factors of e.  Each candidate must pass the integrality oracle
-    and lie outside the current module.
+    Candidates, tried in a fixed order: (e/p) * w_i' = (1/p) * M_i*W for
+    each basis element, then (1/p) * c*W for kernel vectors c of M mod p,
+    where p runs over the repeated factors of e.  Each candidate must pass
+    the integrality oracle and lie outside the current module.
     """
     cur = basis.curve
     _, factors = squarefree_decomposition(basis.e)
@@ -438,10 +420,6 @@ def _repair_suitability(basis):
     )
     tried = []
     for p in repeated:
-        cofactor = basis.e.exact_div(p)
-        candidates = [
-            cur.from_x(cur.xfrac.of(cofactor)) * w.dx() for w in basis.elements
-        ]
         outcome = solve_mod(
             basis.mmat, (cur.xring.zero,) * cur.n, p, cur.xring
         )
@@ -450,8 +428,10 @@ def _repair_suitability(basis):
             for v in leaf.cokernel:
                 if v not in vectors:
                     vectors.append(v)
-        for c in vectors:
-            candidates.append(basis.combine([cur.xfrac.of(ci, p) for ci in c]))
+        candidates = [
+            basis.combine([cur.xfrac.of(ci, p) for ci in c])
+            for c in basis.mmat + tuple(vectors)
+        ]
         theta, rejected = basis.first_new_integral(candidates)
         tried.extend(rejected)
         if theta is not None:

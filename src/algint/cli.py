@@ -52,6 +52,8 @@ def _cmd_reduce(args):
     field, curve, f = _setup(args)
     res = lazy_hermite_reduce(f)
     rem = res.remainder
+    if f != res.g_part.dx() + rem.element():
+        raise AlgintError("reduction check failed")
     return field, {
         "g": str(res.g_part),
         "remainder": {
@@ -67,6 +69,8 @@ def _cmd_reduce(args):
 def _cmd_decompose(args):
     field, curve, f = _setup(args)
     dec = additive_decompose(f)
+    if not _antiderivative_checks_out(dec, f):
+        raise AlgintError(_ANTIDERIVATIVE_CHECK_FAILED)
     return field, {
         "g": str(dec.g),
         "integrable": dec.integrable,

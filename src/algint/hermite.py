@@ -172,11 +172,11 @@ def basis_update(step):
     degenerate step.
 
     Candidate order: for each degenerate leaf of the solve outcome, first
-    u * c*W' for the leaf's kernel and cokernel vectors c, then the direct
-    quotients (1/w) * c*W with w the leaf modulus.  Inconsistent systems
-    restrict to their inconsistent leaves; the certificate vectors of those
-    carry the obstruction.  Every candidate must pass the integrality oracle
-    and lie outside the module.
+    u * c*W' = (u/e) * (c*M)*W for the leaf's kernel and cokernel vectors c,
+    read from e*W' = M*W, then the direct quotients (1/w) * c*W with w the
+    leaf modulus.  Inconsistent systems restrict to their inconsistent
+    leaves; the certificate vectors of those carry the obstruction.  Every
+    candidate must pass the integrality oracle and lie outside the module.
     """
     pres = step.presentation
     basis = pres.basis
@@ -196,14 +196,11 @@ def basis_update(step):
             if v not in vectors:
                 vectors.append(v)
         leaf_vectors.append((leaf, vectors))
-    u_elem = cur.from_x(cur.xfrac.of(pres.u))
     candidates = []
     for leaf, vectors in leaf_vectors:
         for c in vectors:
-            theta = cur.zero()
-            for ci, w in zip(c, basis.elements):
-                theta = theta + cur.from_x(cur.xfrac.of(ci)) * w.dx()
-            candidates.append(u_elem * theta)
+            cm = vec_mat(c, basis.mmat)
+            candidates.append(_element(basis, basis.e, [pres.u * a for a in cm]))
     for leaf, vectors in leaf_vectors:
         for c in vectors:
             quotient = [cur.xfrac.of(ci, leaf.modulus) for ci in c]

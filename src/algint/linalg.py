@@ -18,13 +18,6 @@ def mat(rows):
     return tuple(tuple(r) for r in rows)
 
 
-def identity(ring, n):
-    """The n x n identity matrix; an oracle for the tests."""
-    return tuple(
-        tuple(ring.one if i == j else ring.zero for j in range(n)) for i in range(n)
-    )
-
-
 def transpose(a):
     return tuple(zip(*a)) if a else ()
 
@@ -55,10 +48,6 @@ def vec_mat(v, a):
     if len(v) != len(a):
         raise DomainError("vector/matrix shapes do not match")
     return tuple(_dot(v, col) for col in transpose(a))
-
-def mat_vec(a, v):
-    """Matrix times column vector; an oracle for the tests."""
-    return tuple(_dot(row, v) for row in a)
 
 
 # ---------------------------------------------------------------------------
@@ -192,31 +181,6 @@ def hnf_rows(rows, ring):
         # every remaining row must have been cancelled to zero
         raise DomainError("row reduction left an unplaced nonzero row")
     return mat(done)
-
-
-def hnf_pivot_columns(h):
-    cols = []
-    for row in h:
-        for j, entry in enumerate(row):
-            if entry:
-                cols.append(j)
-                break
-    return tuple(cols)
-
-
-def hnf_member(h, vec):
-    """Is vec in the K[x]-row span of the echelon basis h?  An oracle for
-    the tests."""
-    v = list(vec)
-    pivots = hnf_pivot_columns(h)
-    for row, col in zip(h, pivots):
-        if v[col]:
-            q, r = divmod(v[col], row[col])
-            if r:
-                return False
-            for j in range(col, len(v)):
-                v[j] = v[j] - q * row[j]
-    return not any(v)
 
 
 # ---------------------------------------------------------------------------

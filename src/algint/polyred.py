@@ -181,16 +181,6 @@ class PhiMap:
     a: Poly
     bmat: tuple
 
-    def apply_tilde(self, row):
-        """u^2 * phi(row), always a polynomial row; an oracle for the tests."""
-        au = self.a * self.u
-        aup = self.a * self.u.derivative()
-        pb = vec_mat(row, self.bmat)
-        return tuple(
-            au * p.derivative() - aup * p + self.u * pb[i]
-            for i, p in enumerate(row)
-        )
-
     def unit_image(self, comp, s):
         """u^2 * phi of the monomial row x^s at component comp."""
         ring = self.u.ring

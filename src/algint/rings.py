@@ -26,6 +26,7 @@ the gcds that can cancel something are taken.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .errors import DomainError
@@ -266,9 +267,6 @@ class Poly:
             tuple(c * self.ring.coeff.from_int(i) for i, c in enumerate(self.coeffs))[1:],
         )
 
-    def map_coeffs(self, fn, new_ring):
-        return Poly(new_ring, tuple(fn(c) for c in self.coeffs))
-
     def coeff(self, k):
         if 0 <= k < len(self.coeffs):
             return self.coeffs[k]
@@ -492,9 +490,23 @@ class RatFunc:
             return (self.field.one / self) ** (-k)
         return RatFunc(self.field, self.num**k, self.den**k)
 
-    def derivative(self):
+    def derivative(self, dpoly=Poly.derivative):
+        """The derivative under the derivation acting on polynomials as dpoly.
+        With g = gcd(d, d'), (n/d)' = (n'*(d/g) - n*(d'/g)) / (g*(d/g)^2) is
+        reduced except at factors p of d with p' = 0 (t-free ones under
+        d/dt), where h = gcd(numerator, g) is all that cancels."""
         n, d = self.num, self.den
-        return self.field.of(n.derivative() * d - n * d.derivative(), d * d)
+        d1 = dpoly(d)
+        g = gcd(d, d1)
+        if g.degree > 0:
+            d, d1 = d.exact_div(g), d1.exact_div(g)
+        n = dpoly(n) * d - n * d1
+        if not n:
+            return self.field.zero
+        h = gcd(n, g)
+        if h.degree > 0:
+            n, g = n.exact_div(h), g.exact_div(h)
+        return RatFunc(self.field, n, g * d * d)
 
     def _coerce(self, other):
         if isinstance(other, RatFunc):
@@ -738,6 +750,35 @@ def square_part_root(p):
         if mult >= 2:
             out = out * f ** (mult // 2)
     return out
+
+
+def square_root(c):
+    """A square root of a tower element, or None if it has none.
+
+    Zero is its own root.  A Fraction needs a square numerator and
+    denominator; a polynomial an even degree, a square leading coefficient
+    and no squarefree part left by square_part_root; a fraction of
+    polynomials a root of its numerator and of its denominator.
+    """
+    if not c:
+        return c
+    if isinstance(c, Fraction):
+        if c < 0:
+            return None
+        n, d = math.isqrt(c.numerator), math.isqrt(c.denominator)
+        if n * n != c.numerator or d * d != c.denominator:
+            return None
+        return Fraction(n, d)
+    if isinstance(c, Poly):
+        root = None if c.degree % 2 else square_root(c.lc)
+        if root is None:
+            return None
+        f = square_part_root(c)
+        return f * root if f * f == c.monic() else None
+    n, d = square_root(c.num), square_root(c.den)
+    if n is None or d is None:
+        return None
+    return RatFunc(c.field, n, d)
 
 
 # ---------------------------------------------------------------------------

@@ -63,7 +63,7 @@ class RemainderLedger:
 
     def _rebase(self, new_basis, new_u, new_a):
         """Rewrite every entry but the newest over the new shared data."""
-        if new_basis.transition_from(self.basis) is None:
+        if not new_basis.module_contains(self.basis):
             raise ContainmentViolated(
                 "previous basis does not lie in the enlarged module"
             )

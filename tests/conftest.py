@@ -5,6 +5,7 @@ import pytest
 from hypothesis import HealthCheck, settings, strategies as st
 
 from algint.algfield import Curve, FieldBasis, power_basis
+from algint.linalg import transpose, vec_mat
 from algint.parsing import build_curve, build_element
 from algint.rings import QQ, QT, POLY_X_QQ, RAT_X_QQ
 
@@ -101,6 +102,58 @@ def curve_elements(curve, max_degree=2, denom_pool=()):
 
 # ---------------------------------------------------------------------------
 # oracles
+
+def identity(ring, n):
+    """The n x n identity matrix."""
+    return tuple(
+        tuple(ring.one if i == j else ring.zero for j in range(n)) for i in range(n)
+    )
+
+
+def mat_vec(a, v):
+    """Matrix times column vector."""
+    return vec_mat(v, transpose(a))
+
+
+def hnf_pivot_columns(h):
+    cols = []
+    for row in h:
+        for j, entry in enumerate(row):
+            if entry:
+                cols.append(j)
+                break
+    return tuple(cols)
+
+
+def hnf_member(h, vec):
+    """Is vec in the K[x]-row span of the echelon basis h?"""
+    v = list(vec)
+    pivots = hnf_pivot_columns(h)
+    for row, col in zip(h, pivots):
+        if v[col]:
+            q, r = divmod(v[col], row[col])
+            if r:
+                return False
+            for j in range(col, len(v)):
+                v[j] = v[j] - q * row[j]
+    return not any(v)
+
+
+def module_equal(a, b):
+    """Do the bases a and b span the same K[x]-module?"""
+    return a.module_contains(b) and b.module_contains(a)
+
+
+def apply_tilde(phi, row):
+    """u^2 * phi(row) for a PhiMap phi, always a polynomial row."""
+    au = phi.a * phi.u
+    aup = phi.a * phi.u.derivative()
+    pb = vec_mat(row, phi.bmat)
+    return tuple(
+        au * p.derivative() - aup * p + phi.u * pb[i]
+        for i, p in enumerate(row)
+    )
+
 
 def complement_is_final(comp, extra=24):
     """Build comp far past its frozen bound; True if that adds no standard

@@ -1,4 +1,5 @@
 """Function-field elements, bases, derivations, and integrality tests."""
+import re
 from fractions import Fraction
 
 import pytest
@@ -13,9 +14,9 @@ from algint.algfield import (
 )
 from algint.errors import CurveReducible, DomainError, PreconditionError, RankDeficient
 from algint.parsing import build_curve, build_element
-from algint.rings import QQ, QT, POLY_X_QQ, is_squarefree
+from algint.rings import QQ, QT, POLY_X_QQ, RAT_X_QQ, PolyRing, is_squarefree
 
-from conftest import curve_elements, elem, polys_over_qq, small_fractions
+from conftest import curve_elements, elem, module_equal, polys_over_qq, small_fractions
 
 R = POLY_X_QQ
 
@@ -55,11 +56,73 @@ def test_zero_division_rejected(parabola):
 
 
 def test_reducible_curve_detected_on_inversion():
-    curve = build_curve("y^2 - x^2", QQ)
+    # past degree 2 a factor is found only when an inversion meets it
+    curve = build_curve("y^3 - x^3", QQ)
     y = curve.gen()
     x = curve.from_x(curve.xfrac.gen)
     with pytest.raises(CurveReducible):
         (y - x).inv()
+
+
+@pytest.mark.parametrize(
+    "text, field, factor",
+    [
+        ("y^2 - x^2", QQ, "y - x"),
+        ("y^2 - 4*x^2", QQ, "y - 2*x"),
+        ("y^2 - t^2*x^2", QT, "y - t*x"),
+        ("y^2 + 2*x*y + x^2", QQ, "y + x"),  # discriminant 0
+    ],
+    ids=str,
+)
+def test_reducible_quadratic_curve_refuted(text, field, factor):
+    with pytest.raises(CurveReducible, match=re.escape(f"discovered factor {factor}") + "$"):
+        build_curve(text, field)
+
+
+@pytest.mark.parametrize(
+    "text, field",
+    [
+        ("y^2 - 2*x^2", QQ),
+        ("y^2 - t*x^2", QT),
+        ("y^2 - x^2*(x + 1)", QQ),  # node
+        ("y^2 - x^3", QQ),  # cusp
+        ("y^2 - x*(x - 1)*(x - t)", QT),  # Legendre
+        ("y^2 - x*(x - 1)*(x - t)*(x + t)", QT),
+        ("x*y^2 - 1", QQ),
+    ],
+    ids=str,
+)
+def test_irreducible_quadratic_curve_accepted(text, field):
+    assert build_curve(text, field).n == 2
+
+
+def test_quadratic_reducibility_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    xs, ys = sympy.symbols("x y")
+    yring = PolyRing(RAT_X_QQ, "y")
+
+    def to_sympy(p):
+        return sum(
+            sympy.Rational(c.numerator, c.denominator) * xs**k
+            for k, c in enumerate(p.coeffs)
+        )
+
+    @given(polys_over_qq(), polys_over_qq(), st.booleans())
+    def check(a, b, product):
+        # half the time (y + a)(y + b), otherwise y^2 + a*y + b
+        c1, c0 = (a + b, a * b) if product else (a, b)
+        m = yring.poly([RAT_X_QQ.coerce(c0), RAT_X_QQ.coerce(c1), 1])
+        try:
+            Curve(m, QQ)
+            refuted = False
+        except CurveReducible:
+            refuted = True
+        expr = ys**2 + to_sympy(c1) * ys + to_sympy(c0)
+        _, factors = sympy.factor_list(expr, ys, xs)
+        in_y = sum(mult for fac, mult in factors if sympy.degree(fac, ys) > 0)
+        assert refuted == (in_y >= 2)
+
+    check()
 
 
 def test_pow_matches_repeated_multiplication(parabola):
@@ -107,6 +170,13 @@ def test_dt_on_legendre_matches_implicit_differentiation(legendre):
 
 def test_dt_dx_commute_on_legendre(legendre):
     f = build_element("y/(x - t)", legendre)
+    assert f.dx().dt() == f.dt().dx()
+
+
+@pytest.mark.parametrize("text", ["1/y", "y/(x - t)", "x*y/(x - 2)^2", "t/(x*y)"])
+def test_dt_dx_commute_on_quartic(text):
+    curve = build_curve("y^2 - x*(x - 1)*(x - t)*(x + t)", QT)
+    f = build_element(text, curve)
     assert f.dx().dt() == f.dt().dx()
 
 
@@ -262,20 +332,16 @@ def test_enlarge_reaches_full_power_module(parabola):
     start = FieldBasis(parabola, (x, y))
     bigger = start.enlarge([x + parabola.one()])
     target = FieldBasis(parabola, (parabola.one(), y))
-    assert bigger.module_equal(target)
-    assert not target.module_equal(start)
+    assert module_equal(bigger, target)
+    assert not module_equal(target, start)
 
 
-def test_transition_from_is_polynomial_when_contained(parabola):
+def test_module_contains_in_both_directions(parabola):
     y = parabola.gen()
     sub = FieldBasis(parabola, (parabola.from_x(parabola.xfrac.gen), y))
     sup = FieldBasis(parabola, (parabola.one(), y))
-    t = sup.transition_from(sub)
-    assert t is not None
-    # rebuild sub's elements through the matrix
-    for row, w in zip(t, sub.elements):
-        assert sup.combine([sup.curve.xfrac.of(c) for c in row]) == w
-    assert sub.transition_from(sup) is None
+    assert sup.module_contains(sub)
+    assert not sub.module_contains(sup)
 
 
 def test_power_basis_handles_nontrivial_leading_coefficient():

@@ -7,12 +7,9 @@ from hypothesis import given, strategies as st
 from algint.errors import PreconditionError, RankDeficient
 from algint.linalg import (
     det,
-    hnf_member,
     hnf_rows,
-    identity,
     inverse,
     mat_mul,
-    mat_vec,
     nullspace,
     rref,
     solve_mod,
@@ -21,7 +18,7 @@ from algint.linalg import (
 )
 from algint.rings import QQ, POLY_X_QQ
 
-from conftest import polys_over_qq, small_fractions
+from conftest import hnf_member, identity, mat_vec, polys_over_qq, small_fractions
 
 R = POLY_X_QQ
 

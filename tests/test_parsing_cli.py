@@ -1,4 +1,5 @@
 """Expression grammar, round-trip printing, and the command-line surface."""
+import dataclasses
 import json
 import os
 import pathlib
@@ -179,6 +180,41 @@ def test_wrong_antiderivative_fails_its_check(monkeypatch, capsys):
         "name": "probe", "mode": "integrate", "status": "error",
         "error": "antiderivative check failed",
     }
+
+
+@pytest.mark.parametrize(
+    "command, target, part, message",
+    [
+        ("decompose", "additive_decompose", "g", "antiderivative check failed"),
+        ("reduce", "lazy_hermite_reduce", "g_part", "reduction check failed"),
+    ],
+)
+def test_wrong_derivative_part_fails_its_check(
+    monkeypatch, capsys, command, target, part, message
+):
+    import algint.cli as cli_mod
+
+    real = getattr(cli_mod, target)
+
+    def doubled(f):
+        out = real(f)
+        g = getattr(out, part)
+        return dataclasses.replace(out, **{part: g + g})
+
+    monkeypatch.setattr(cli_mod, target, doubled)
+    rc = main([command, "--curve", "y^2 - x", "--integrand", "y/x^3"])
+    captured = capsys.readouterr()
+    assert rc == 3
+    assert captured.out == ""
+    assert message in captured.err
+
+
+def test_cli_reducible_quadratic_curve_exit_code(capsys):
+    rc = main(["integrate", "--curve", "y^2 - x^2", "--integrand", "y/x"])
+    captured = capsys.readouterr()
+    assert rc == 3
+    assert captured.out == ""
+    assert "CurveReducible" in captured.err
 
 
 def test_cli_import_leaves_the_process_pool_out():

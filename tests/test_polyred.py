@@ -20,7 +20,13 @@ from algint.polyred import (
 )
 from algint.rings import QQ, POLY_X_QQ, gcd
 
-from conftest import complement_is_final, curve_elements, elem, small_fractions
+from conftest import (
+    apply_tilde,
+    complement_is_final,
+    curve_elements,
+    elem,
+    small_fractions,
+)
 
 R = POLY_X_QQ
 
@@ -123,7 +129,7 @@ def test_phi_matches_derivative_of_quotient(parabola):
     comp = dec.complement(u, inf.e)
     phi = comp.phi
     row = (P(1, 2), P(0, 0, 3))
-    image = phi.apply_tilde(row)
+    image = apply_tilde(phi, row)
     # u^2 * phi(row) recovers ((row/u) * V)' after clearing (1/a)(1/u^2)
     cur = parabola
     xf = cur.xfrac
@@ -143,7 +149,7 @@ def test_phi_unit_image_matches_apply_tilde(parabola):
         for s in range(4):
             row = [R.zero, R.zero]
             row[comp_idx] = R.monomial(R.coeff.one, s)
-            assert phi.unit_image(comp_idx, s) == phi.apply_tilde(tuple(row))
+            assert phi.unit_image(comp_idx, s) == apply_tilde(phi, tuple(row))
 
 
 def test_complement_standard_monomials_frozen(parabola):

@@ -21,6 +21,7 @@ from algint.rings import (
     lcm_many,
     poly_crt,
     square_part_root,
+    square_root,
     squarefree_decomposition,
 )
 
@@ -111,6 +112,9 @@ def test_ratfunc_normalizes_to_monic_denominator():
 def test_ratfunc_derivative_quotient_rule():
     r = F.of(R.one, P(0, 1))  # 1/x
     assert r.derivative() == F.of(P(-1), P(0, 0, 1))
+    assert (r * r).derivative() == F.of(P(-2), P(0, 0, 0, 1))
+    # ((t*x + 1)/x)_t = 1: the t-free factor x cancels
+    assert RAT_X_QT.of(X * t + 1, X).derivative(dt_xpoly) == RAT_X_QT.one
 
 
 # ---------------------------------------------------------------------------
@@ -225,8 +229,8 @@ def test_gcd_matches_euclid_over_qt(a, b, g):
     assert gcd(a * g, b * g) == euclid(a * g, b * g)
 
 
-def _product(polys):
-    out = R.one
+def _product(polys, one=R.one):
+    out = one
     for p in polys:
         out = out * p
     return out
@@ -326,3 +330,97 @@ def test_gcd_over_qt_matches_sympy():
             assert to_sympy(gcd(p, q)) == sympy.gcd(to_sympy(p), to_sympy(q))
 
     check()
+
+
+# ---------------------------------------------------------------------------
+# the quotient rule against its textbook definition
+
+
+def dt_xpoly(p):
+    """d/dt on Q(t)[x], coefficient by coefficient."""
+    return POLY_X_QT.poly([c.derivative() for c in p.coeffs])
+
+
+def _check_quotient_rule(r, dpoly=None):
+    """r' must equal of(n'd - nd', d^2): the same reduced fraction."""
+    n, d = r.num, r.den
+    if dpoly is None:
+        got, dn, dd = r.derivative(), n.derivative(), d.derivative()
+    else:
+        got, dn, dd = r.derivative(dpoly), dpoly(n), dpoly(d)
+    assert got == r.field.of(dn * d - n * dd, d * d)
+
+
+@given(shared_ratfuncs)
+def test_quotient_rule_matches_textbook_over_qq(r):
+    _check_quotient_rule(r)
+
+
+@given(qt_elements())
+def test_quotient_rule_matches_textbook_over_qt(c):
+    _check_quotient_rule(c)
+
+
+# factors of denominators over Q(t): two t-free, three not
+_QT_FACTORS = (X, X - 1, X + t, X - t, X * X + t)
+
+
+def _t_free_plus(a, b):
+    """a + t*x*b with a t-free: its t-derivative is divisible by x."""
+    return POLY_X_QT.poly(a.coeffs) + X * b * t
+
+
+qt_ratfuncs = st.builds(
+    lambda num, picks: RAT_X_QT.of(num, _product(picks, POLY_X_QT.one)),
+    st.one_of(
+        polys_over_qt(max_degree=1),
+        st.builds(_t_free_plus, polys_over_qq(max_degree=2), polys_over_qt(max_degree=0)),
+    ),
+    # two factors at most: the textbook reference runs Euclid over Q(t)[x]
+    st.lists(st.sampled_from(_QT_FACTORS), max_size=2),
+)
+
+
+@given(qt_ratfuncs)
+def test_quotient_rule_matches_textbook_over_qt_x(r):
+    _check_quotient_rule(r)
+    _check_quotient_rule(r, dt_xpoly)
+
+
+@pytest.mark.parametrize(
+    "num, den",
+    [
+        pytest.param(X * t + 1, X, id="(t*x + 1)/x"),  # the t-free x cancels
+        pytest.param(X * t, X * X, id="t/x^2"),
+        pytest.param(POLY_X_QT.one, X * X * (X + t), id="1/(x^2*(x + t))"),
+        pytest.param(X, (X - t) * (X - t), id="x/(x - t)^2"),
+    ],
+)
+def test_quotient_rule_frozen_over_qt_x(num, den):
+    r = RAT_X_QT.of(num, den)
+    _check_quotient_rule(r)
+    _check_quotient_rule(r, dt_xpoly)
+
+
+# ---------------------------------------------------------------------------
+# square roots through the tower
+
+
+def test_square_root_frozen():
+    assert square_root(Fraction(9, 4)) == Fraction(3, 2)
+    assert square_root(Fraction(2)) is None
+    assert square_root(Fraction(-4)) is None
+    assert square_root(R.zero) == R.zero
+    assert square_root(P(1, 2, 1)) == P(1, 1)
+    assert square_root(P(0, 0, 4)) == P(0, 2)
+    assert square_root(P(0, 0, 2)) is None
+    assert square_root(P(0, 0, 0, 1)) is None
+    assert square_root(F.of(P(4), P(1, 2, 1))) == F.of(P(2), P(1, 1))
+    assert square_root(RAT_X_QT.of(X * X * t * t)) == RAT_X_QT.of(X * t)
+    assert square_root(RAT_X_QT.of(X * X * t)) is None
+
+
+@given(ratfuncs_over_qq())
+def test_square_root_of_a_square(r):
+    s = square_root(r * r)
+    assert s is not None and s * s == r * r
