@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 from .algfield import AlgElem, FieldBasis, discriminant, power_basis
 from .errors import AlgintError, RankDeficient, SuitabilityFailure
-from .hermite import HermiteResult, lazy_hermite_reduce
+from .hermite import lazy_hermite_reduce
 from .linalg import nullspace, transpose, vec_mat
 from .rings import Poly, common_denominator, invert_mod, lcm_many, square_part_root
 
@@ -162,11 +162,8 @@ def compute_u(basis, b):
 def euclid_split(rem):
     """Split a normalized remainder h = (1/(d*e)) * nums*W into
     (1/d) * r*W + (1/e) * s*W with deg r_i < deg d, via h_i = r_i*e + s_i*d."""
-    ring = rem.basis.curve.xring
     d = rem.d
     e = rem.basis.e
-    if d.degree == 0:
-        return d, (ring.zero,) * len(rem.nums), rem.nums
     einv = invert_mod(e % d, d)
     r = tuple((h * einv) % d for h in rem.nums)
     s = tuple((h - ri * e).exact_div(d) for h, ri in zip(rem.nums, r))
@@ -234,10 +231,6 @@ class ComplementNV:
         self._built = s
 
     def _insert(self, g, pre):
-        if self._ulen == 0:
-            w = tuple(p.exact_div(self._usq) for p in g)
-            self._insert_intersection(w, pre)
-            return
         res = [p % self._usq for p in g]
         full = list(g)
         preim = list(pre)
@@ -403,7 +396,6 @@ class AdditiveDecomp:
     a: Poly
     q_nums: tuple
     u: Poly
-    hermite: HermiteResult
 
     @property
     def integrable(self):
@@ -444,10 +436,11 @@ class Decomposer:
             self._complements[key] = hit
         return hit
 
-    def decompose(self, f, basis=None, u_mult=None, a_mult=None):
-        """Additive decomposition of f.  u_mult and a_mult force the working
-        u and a to be multiples of the given polynomials, so several
-        decompositions can share one image complement."""
+    def decompose(self, f, basis=None):
+        """Additive decomposition of f, starting from basis (an initial
+        suitable basis when None).  u and a depend on the final basis
+        alone, so decompositions that end on one basis share u, a and the
+        image complement."""
         xf = self.curve.xfrac
         her = lazy_hermite_reduce(f, basis)
         w_basis = her.basis
@@ -455,16 +448,11 @@ class Decomposer:
         inf = self.inf_basis
         b, cmat = common_denominator([inf.coords_of(w) for w in w_basis.elements])
         eb = w_basis.e * b
-        a_parts = [inf.e, eb]
-        if a_mult is not None:
-            a_parts.append(a_mult)
-        a = lcm_many(a_parts)
+        a = lcm_many([inf.e, eb])
         utilde_scale = a.exact_div(eb)
         sc = vec_mat(s, cmat)
         utilde = tuple(utilde_scale * p for p in sc)
         u = compute_u(w_basis, b)
-        if u_mult is not None:
-            u = lcm_many([u, u_mult])
         comp = self.complement(u, a)
         p1, q2 = comp.reduce(utilde)
         g = her.g_part + inf.combine([xf.of(p, u) for p in p1])
@@ -477,7 +465,6 @@ class Decomposer:
             a=a,
             q_nums=q2,
             u=u,
-            hermite=her,
         )
 
 

@@ -8,11 +8,12 @@ dependency sum(c_i * h_i) = 0 yields the telescoper L = sum(c_i * D_t^i)
 with certificate g = sum(c_i * gamma_i), where gamma_r accumulates the
 derivative parts so that D_t^r f = gamma_r' + h_r exactly.
 
-All entries must share one basis W, one u and one a; when a decomposition
-enlarges the module or grows u or a, the whole ledger is rebased: every
-stored remainder is rewritten over the new data (its representation stays
-denominator-squarefree, so this never triggers Hermite steps) and the
-derivative part that splits off is folded into the entry's gamma.
+All entries must share one basis W; u and a follow from W, so they are
+shared with it.  When a decomposition enlarges the module, the whole ledger
+is rebased: every stored remainder is rewritten over the new basis (its
+representation stays denominator-squarefree, so this never triggers Hermite
+steps) and the derivative part that splits off is folded into the entry's
+gamma.
 """
 
 from __future__ import annotations
@@ -42,44 +43,33 @@ class LedgerEntry:
 
 
 class RemainderLedger:
-    """Remainders of the telescoping iteration over shared (W, u, a)."""
+    """Remainders of the telescoping iteration over one shared basis."""
 
     def __init__(self, decomposer, first_dec):
         self.decomposer = decomposer
         self.basis = first_dec.basis
-        self.u = first_dec.u
-        self.a = first_dec.a
         self.entries = [LedgerEntry(first_dec.remainder_element(), first_dec.g)]
 
     def extend(self, dec, gamma):
-        """Append the entry for dec; rebase the earlier entries if dec moved
-        the shared basis data."""
-        changed = (
-            dec.u != self.u or dec.a != self.a or len(dec.hermite.adjoined) > 0
-        )
+        """Append the entry for dec; rebase the earlier entries if dec
+        enlarged the module."""
         self.entries.append(LedgerEntry(dec.remainder_element(), gamma))
-        if changed:
-            self._rebase(dec.basis, dec.u, dec.a)
+        if dec.basis is not self.basis:
+            self._rebase(dec.basis)
 
-    def _rebase(self, new_basis, new_u, new_a):
-        """Rewrite every entry but the newest over the new shared data."""
+    def _rebase(self, new_basis):
+        """Rewrite every entry but the newest over the new basis."""
         if not new_basis.module_contains(self.basis):
             raise ContainmentViolated(
                 "previous basis does not lie in the enlarged module"
             )
         self.basis = new_basis
-        self.u = new_u
-        self.a = new_a
         for entry in self.entries[:-1]:
-            dec = self.decomposer.decompose(
-                entry.h_elem, basis=new_basis, u_mult=new_u, a_mult=new_a
-            )
-            if dec.hermite.adjoined:
+            dec = self.decomposer.decompose(entry.h_elem, basis=new_basis)
+            if dec.basis is not new_basis:
                 # the rebase input has squarefree denominators, so the
                 # reduction must not move the module again
                 raise ContainmentViolated("module enlarged during a rebase")
-            if dec.u != new_u or dec.a != new_a:
-                raise ContainmentViolated("rebase changed the shared u or a")
             entry.gamma = entry.gamma + dec.g
             entry.h_elem = dec.remainder_element()
 
@@ -129,36 +119,23 @@ def find_dependency(entries):
         return None, rank
     vec = null[0]
     if vec[-1] == field.zero:
-        # a dependency not involving the newest remainder would have been
-        # found in an earlier round; if one shows up anyway, prefer a
-        # vector that does involve it
-        for cand in null[1:]:
-            if cand[-1] != field.zero:
-                vec = cand
-                break
+        # the previous round found the earlier remainders independent
+        raise AlgintError("dependency misses the newest remainder")
     return _normalize_dependency(vec), rank
 
 
 def _normalize_dependency(vec):
     """Scale a Q(t) dependency to integer polynomials in t without common
-    content, the last nonzero one with a positive leading coefficient."""
+    content, the last one with a positive leading coefficient."""
     _, (polys,) = common_denominator([vec])
     denlcm = math.lcm(*(c.denominator for p in polys for c in p.coeffs))
     polys = [p * Fraction(denlcm) for p in polys]
     g = math.gcd(*(int(c) for p in polys for c in p.coeffs))
     if g > 1:
         polys = [p / Fraction(g) for p in polys]
-    top = polys[_last_nonzero(polys)]
-    if top.lc < 0:
+    if polys[-1].lc < 0:
         polys = [-p for p in polys]
     return tuple(QT.of(p) for p in polys)
-
-
-def _last_nonzero(seq):
-    for i in range(len(seq) - 1, -1, -1):
-        if seq[i]:
-            return i
-    raise AlgintError("zero dependency vector")
 
 
 def apply_telescoper(f, coeffs):
@@ -207,9 +184,7 @@ def telescope(f, max_order=20):
         if r >= max_order:
             raise MaxOrderExceeded(max_order, tuple(ranks))
         prev = ledger.entries[-1]
-        dec = decomposer.decompose(
-            prev.h_elem.dt(), basis=ledger.basis, u_mult=ledger.u, a_mult=ledger.a
-        )
+        dec = decomposer.decompose(prev.h_elem.dt(), basis=ledger.basis)
         gamma = prev.gamma.dt() + dec.g
         ledger.extend(dec, gamma)
         r += 1

@@ -173,7 +173,7 @@ def test_wrong_antiderivative_fails_its_check(monkeypatch, capsys):
     rc = main(["integrate", "--curve", "y^2 - x", "--integrand", "y/x^3"])
     captured = capsys.readouterr()
     assert rc == 3
-    assert "antiderivative check failed" in captured.err
+    assert "decomposition check failed" in captured.err
     assert "antiderivative =" not in captured.out
     out = run_record({"name": "probe", "curve": "y^2 - x", "integrand": "y/x^3"})
     assert out == {
@@ -183,14 +183,19 @@ def test_wrong_antiderivative_fails_its_check(monkeypatch, capsys):
 
 
 @pytest.mark.parametrize(
-    "command, target, part, message",
+    "command, target, part, message, integrand",
     [
-        ("decompose", "additive_decompose", "g", "antiderivative check failed"),
-        ("reduce", "lazy_hermite_reduce", "g_part", "reduction check failed"),
+        ("decompose", "additive_decompose", "g", "decomposition check failed", "y/x^3"),
+        # not integrable: only f == dx(g) + h catches the wrong g
+        ("decompose", "additive_decompose", "g", "decomposition check failed",
+         "y/(x^2*(x+1))"),
+        ("integrate", "additive_decompose", "g", "decomposition check failed",
+         "y/(x^2*(x+1))"),
+        ("reduce", "lazy_hermite_reduce", "g_part", "reduction check failed", "y/x^3"),
     ],
 )
 def test_wrong_derivative_part_fails_its_check(
-    monkeypatch, capsys, command, target, part, message
+    monkeypatch, capsys, command, target, part, message, integrand
 ):
     import algint.cli as cli_mod
 
@@ -202,7 +207,7 @@ def test_wrong_derivative_part_fails_its_check(
         return dataclasses.replace(out, **{part: g + g})
 
     monkeypatch.setattr(cli_mod, target, doubled)
-    rc = main([command, "--curve", "y^2 - x", "--integrand", "y/x^3"])
+    rc = main([command, "--curve", "y^2 - x", "--integrand", integrand])
     captured = capsys.readouterr()
     assert rc == 3
     assert captured.out == ""

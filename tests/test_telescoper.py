@@ -4,13 +4,16 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from algint.errors import MaxOrderExceeded, PreconditionError
+from algint.algfield import initial_suitable_basis
+from algint.errors import AlgintError, MaxOrderExceeded, PreconditionError
 from algint.parsing import build_curve, build_element
 from algint.polyred import Decomposer
 from algint.rings import QQ, QT, T_POLY
 from algint.telescoper import (
+    LedgerEntry,
     RemainderLedger,
     apply_telescoper,
+    find_dependency,
     telescope,
     verify_telescoper,
 )
@@ -128,29 +131,37 @@ def test_telescope_requires_parameter_field(parabola):
 # ---------------------------------------------------------------------------
 # ledger maintenance
 
-def test_ledger_rebase_preserves_entry_identities(legendre):
-    # force a rebase by handing the ledger a later decomposition computed
-    # with strictly larger shared denominators
-    dec0_maker = Decomposer(legendre)
-    f = build_element("1/y", legendre)
-    dec0 = dec0_maker.decompose(f)
-    ledger = RemainderLedger(dec0_maker, dec0)
+def test_ledger_rebase_preserves_entry_identities():
+    # a singular point moving with t: y/(x - t) is integral but lies outside
+    # the initial module, so decomposing over the enlarged module rebases
+    curve = build_curve("y^2 - x*(x-1)*(x+1)*(x-t)^2", QT)
+    f = curve.gen()
+    w0 = initial_suitable_basis(curve)
+    assert [str(w) for w in w0.elements] == ["1", "y"]
+    decomposer = Decomposer(curve)
+    dec0 = decomposer.decompose(f, basis=w0)
+    assert dec0.basis is w0
+    ledger = RemainderLedger(decomposer, dec0)
 
-    h0 = ledger.entries[0].h_elem
-    f1 = h0.dt()
-    xring = legendre.xring
-    bump = xring.poly([QT.from_int(3), QT.one])  # x + 3, coprime to all poles
-    dec1 = dec0_maker.decompose(
-        f1, basis=ledger.basis, u_mult=ledger.u * bump, a_mult=ledger.a * bump
-    )
+    w1 = w0.enlarge([build_element("y/(x-t)", curve)])
+    dec1 = decomposer.decompose(ledger.entries[0].h_elem.dt(), basis=w1)
     gamma1 = ledger.entries[0].gamma.dt() + dec1.g
     ledger.extend(dec1, gamma1)
 
-    assert ledger.u == dec1.u
-    assert ledger.a == dec1.a
+    assert ledger.basis is w1
     # identity D_t^i f = dx(gamma_i) + h_i survives the rebase for both rows
     assert f == ledger.entries[0].gamma.dx() + ledger.entries[0].h_elem
     assert f.dt() == ledger.entries[1].gamma.dx() + ledger.entries[1].h_elem
+
+
+def test_dependency_missing_the_newest_remainder_is_refused(legendre):
+    # the earlier entries of a round are independent, so a dependency among
+    # them alone breaks the loop's invariant
+    h = build_element("1/y", legendre)
+    k = build_element("x/y", legendre)
+    entries = [LedgerEntry(e, legendre.zero()) for e in (h, h + h, k)]
+    with pytest.raises(AlgintError):
+        find_dependency(entries)
 
 
 def test_telescope_verifies_before_returning(legendre):
