@@ -178,15 +178,6 @@ class PhiMap:
     a: Poly
     bmat: tuple
 
-    def unit_image(self, comp, s):
-        """u^2 * phi of the monomial row x^s at component comp."""
-        ring = self.u.ring
-        x_s = ring.monomial(ring.coeff.one, s)
-        diag = self.a * self.u * x_s.derivative() - self.a * self.u.derivative() * x_s
-        row = [self.u * x_s * self.bmat[comp][j] for j in range(len(self.bmat))]
-        row[comp] = row[comp] + diag
-        return tuple(row)
-
 
 # Build schedule of the image complement: ensure_stable feeds generators up
 # to degree COMPLEMENT_INITIAL_CAP (further if the stabilization margin
@@ -200,11 +191,24 @@ COMPLEMENT_HARD_CAP = 600
 class ComplementNV:
     """Standard complement of im(phi) inside K[x]^n.
 
-    Generators phi(e_i x^s) are fed in by increasing degree s.  Those
-    combinations that are polynomial (tracked modulo u^2) form an echelon
-    by leading monomial under the graded order (degree, component); the
-    monomials that never become leading terms span the complement.  Each
-    echelon row keeps the preimage polynomial row that maps onto it.
+    Generators u^2*phi(x^s e_i) are fed in by increasing degree s.  Those
+    combinations that vanish modulo u^2 are u^2 times an image row; these
+    rows form an echelon by leading monomial under the graded order
+    (degree, component), and the monomials that never become leading terms
+    span the complement.  Each echelon row keeps the preimage polynomial
+    row that maps onto it.
+
+    With the fixed rows A = a*u and P_i = u*B_i - a*u'*e_i,
+
+        u^2 * phi(x^s e_i) = s*x^(s-1)*A*e_i + x^s*P_i.
+
+    Every polynomial g of a generator is kept as a pair (Q, R) with
+    g = Q*u^2 + R and deg R < 2 deg u.  One degree up is a shift,
+    x*g = (x*Q + c)*u^2 + (x*R - c*u^2), where c is the coefficient of
+    x^(2 deg u - 1) in R (u is monic); for u = 1, R is zero.  Elimination
+    runs on the R rows and carries the Q rows along, so a combination whose
+    R rows vanish hands its Q rows on as the image row, and no generator
+    costs a polynomial product or a division by u^2.
     """
 
     def __init__(self, phi, n, field):
@@ -216,23 +220,50 @@ class ComplementNV:
         self._residue = []
         self._ulen = 2 * phi.u.degree
         self._usq = phi.u * phi.u
+        u, a = phi.u, phi.a
+        aup = a * u.derivative()
+        # the pairs of x^(s-1)*A and of the rows x^s*P_i for the next s fed
+        self._a_pair = divmod(a * u, self._usq)
+        self._p_rows = [
+            [divmod(u * b - aup if i == j else u * b, self._usq) for j, b in enumerate(row)]
+            for i, row in enumerate(phi.bmat)
+        ]
         self._built = -1
         self._frozen = None
         self._stable = False
 
     # -- generator feed
 
-    def _feed(self, s):
-        for comp in range(self.n):
-            g = self.phi.unit_image(comp, s)
-            pre = [self.ring.zero] * self.n
-            pre[comp] = self.ring.monomial(self.ring.coeff.one, s)
-            self._insert(g, tuple(pre))
+    def _shift(self, pair):
+        """The pair of x*g, given the pair (Q, R) of g."""
+        q, r = pair
+        zero = self.field.zero
+        c = r.coeff(self._ulen - 1)
+        xr = (zero,) + r.coeffs
+        if c:
+            usq = self._usq.coeffs
+            xr = tuple(xr[k] - c * usq[k] for k in range(self._ulen))
+        return Poly(self.ring, (c,) + q.coeffs), Poly(self.ring, xr)
+
+    def _feed(self):
+        s = self._built + 1
+        ring = self.ring
+        qa, ra = self._a_pair
+        for i, row in enumerate(self._p_rows):
+            quo = [q for q, _ in row]
+            res = [r for _, r in row]
+            if s:
+                quo[i] = quo[i] + qa.scale(s)
+                res[i] = res[i] + ra.scale(s)
+            pre = [ring.zero] * self.n
+            pre[i] = ring.monomial(ring.coeff.one, s)
+            self._insert(quo, res, tuple(pre))
+        self._p_rows = [[self._shift(pair) for pair in row] for row in self._p_rows]
+        if s:
+            self._a_pair = self._shift(self._a_pair)
         self._built = s
 
-    def _insert(self, g, pre):
-        res = [p % self._usq for p in g]
-        full = list(g)
+    def _insert(self, quo, res, pre):
         preim = list(pre)
         for entry in self._residue:
             piv = entry["pivot"]
@@ -240,7 +271,7 @@ class ComplementNV:
             if c != self.field.zero:
                 scale = c / entry["res"][piv[0]].coeff(piv[1])
                 res = [a - scale * b for a, b in zip(res, entry["res"])]
-                full = [a - scale * b for a, b in zip(full, entry["full"])]
+                quo = [a - scale * b for a, b in zip(quo, entry["quo"])]
                 preim = [a - scale * b for a, b in zip(preim, entry["preim"])]
         pivot = None
         for j in range(self.n):
@@ -251,12 +282,11 @@ class ComplementNV:
             if pivot:
                 break
         if pivot is None:
-            if any(full):
-                w = tuple(p.exact_div(self._usq) for p in full)
-                self._insert_intersection(w, tuple(preim))
+            if any(quo):
+                self._insert_intersection(tuple(quo), tuple(preim))
             return
         self._residue.append(
-            {"res": res, "full": full, "preim": preim, "pivot": pivot}
+            {"res": res, "quo": quo, "preim": preim, "pivot": pivot}
         )
 
     def _insert_intersection(self, w, pre):
@@ -308,7 +338,7 @@ class ComplementNV:
         target = max(COMPLEMENT_INITIAL_CAP, margin + 1)
         while True:
             while self._built < target:
-                self._feed(self._built + 1)
+                self._feed()
             maxlead = max((k for k, _ in self.leads), default=-1)
             maxstd = -1
             for k in range(maxlead, -1, -1):
@@ -330,7 +360,7 @@ class ComplementNV:
         self.ensure_stable()
         margin = self._margin()
         while self._built < degree + margin:
-            self._feed(self._built + 1)
+            self._feed()
 
     # -- public views
 
@@ -411,11 +441,13 @@ class AdditiveDecomp:
 
 
 class Decomposer:
-    """Caches the infinity basis and the image complements per (u, a)."""
+    """Caches the infinity basis, the data of each final basis and the image
+    complements per (u, a)."""
 
     def __init__(self, curve):
         self.curve = curve
         self._inf = None
+        self._bases = {}
         self._complements = {}
 
     @property
@@ -436,6 +468,21 @@ class Decomposer:
             self._complements[key] = hit
         return hit
 
+    def _basis_data(self, basis):
+        """(cmat, a/(e*b), u, a) of a final basis W, computed once per basis
+        object: W = (1/b)*cmat*V over the infinity basis V, a is the lcm of
+        the derivation denominators of V and b*W, and u bounds the
+        denominators of antiderivatives."""
+        hit = self._bases.get(basis)
+        if hit is None:
+            inf = self.inf_basis
+            b, cmat = common_denominator([inf.coords_of(w) for w in basis.elements])
+            eb = basis.e * b
+            a = lcm_many([inf.e, eb])
+            hit = (cmat, a.exact_div(eb), compute_u(basis, b), a)
+            self._bases[basis] = hit
+        return hit
+
     def decompose(self, f, basis=None):
         """Additive decomposition of f, starting from basis (an initial
         suitable basis when None).  u and a depend on the final basis
@@ -445,16 +492,10 @@ class Decomposer:
         her = lazy_hermite_reduce(f, basis)
         w_basis = her.basis
         d, r, s = euclid_split(her.remainder)
+        cmat, utilde_scale, u, a = self._basis_data(w_basis)
+        utilde = tuple(utilde_scale * p for p in vec_mat(s, cmat))
+        p1, q2 = self.complement(u, a).reduce(utilde)
         inf = self.inf_basis
-        b, cmat = common_denominator([inf.coords_of(w) for w in w_basis.elements])
-        eb = w_basis.e * b
-        a = lcm_many([inf.e, eb])
-        utilde_scale = a.exact_div(eb)
-        sc = vec_mat(s, cmat)
-        utilde = tuple(utilde_scale * p for p in sc)
-        u = compute_u(w_basis, b)
-        comp = self.complement(u, a)
-        p1, q2 = comp.reduce(utilde)
         g = her.g_part + inf.combine([xf.of(p, u) for p in p1])
         return AdditiveDecomp(
             g=g,

@@ -229,6 +229,10 @@ class Poly:
             raise DomainError("polynomial division by zero")
         if self.degree < other.degree:
             return self.ring.zero, self
+        if not other.degree:
+            if other.lc == self.ring.coeff.one:
+                return self, self.ring.zero
+            return self.scale(self.ring.coeff.one / other.lc), self.ring.zero
         rem = list(self.coeffs)
         dq = len(rem) - len(other.coeffs)
         quo = [self.ring.coeff.zero] * (dq + 1)

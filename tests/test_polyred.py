@@ -1,5 +1,7 @@
 """Post-Hermite reduction: infinity bases, image complements, decomposition."""
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,7 +12,6 @@ from algint.parsing import build_curve, build_element
 from algint.polyred import (
     ComplementNV,
     Decomposer,
-    PhiMap,
     additive_decompose,
     antiderivative,
     compute_u,
@@ -18,7 +19,7 @@ from algint.polyred import (
     infinity_scale,
     suitable_at_infinity,
 )
-from algint.rings import QQ, POLY_X_QQ, gcd
+from algint.rings import QQ, QT, POLY_X_QQ, gcd
 
 from conftest import (
     apply_tilde,
@@ -29,6 +30,7 @@ from conftest import (
 )
 
 R = POLY_X_QQ
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def P(*coeffs):
@@ -140,16 +142,57 @@ def test_phi_matches_derivative_of_quotient(parabola):
     assert lhs == rhs
 
 
-def test_phi_unit_image_matches_apply_tilde(parabola):
-    dec = Decomposer(parabola)
-    inf = dec.inf_basis
-    comp = dec.complement(P(1, 0, 1), inf.e)
+def _fed_rows(comp, top):
+    """(pre, Q, R) of every generator the complement feeds up to degree top,
+    where pre is the monomial row x^s e_i it is the image of."""
+    fed = []
+    insert = comp._insert
+
+    def record(quo, res, pre):
+        fed.append((pre, tuple(quo), tuple(res)))
+        insert(quo, res, pre)
+
+    comp._insert = record
+    while comp._built < top:
+        comp._feed()
+    return fed
+
+
+def _complement(curve, second):
+    """A complement not yet built: for u = x^2 + 1 when second is None,
+    else for the u and a that decompose finds over the basis (1, second)."""
+    dec = Decomposer(curve)
+    if second is None:
+        u = P(1, 0, 1)
+        return dec.complement(u, dec.inf_basis.e * u)
+    basis = FieldBasis(curve, (curve.one(), elem(curve, second)))
+    out = Decomposer(curve).decompose(elem(curve, "y"), basis=basis)
+    assert out.basis is basis
+    return dec.complement(out.u, out.a)
+
+
+@pytest.mark.parametrize(
+    "curve_text, field, second, u_text",
+    [
+        ("y^2 - x", QQ, None, "x^2 + 1"),
+        ("y^2 - x", QQ, "y", "1"),
+        ("y^2 - x^2*(x-1)", QQ, "y", "x"),
+        ("y^2 - x*(x - 1)*(x - t)", QT, "(x - t)*y", "x - t"),
+        ("y^2 - x*(x - 1)*(x - t)", QT, "y", "1"),
+    ],
+    ids=["parabola", "parabola-u1", "node", "legendre", "legendre-u1"],
+)
+def test_fed_rows_split_the_generators_by_u_squared(curve_text, field, second, u_text):
+    curve = build_curve(curve_text, field)
+    comp = _complement(curve, second)
     phi = comp.phi
-    for comp_idx in range(2):
-        for s in range(4):
-            row = [R.zero, R.zero]
-            row[comp_idx] = R.monomial(R.coeff.one, s)
-            assert phi.unit_image(comp_idx, s) == apply_tilde(phi, tuple(row))
+    assert str(phi.u) == u_text
+    usq = phi.u * phi.u
+    fed = _fed_rows(comp, 12)
+    assert len(fed) == 13 * curve.n
+    for pre, quo, res in fed:
+        assert all(r.degree < 2 * phi.u.degree for r in res)
+        assert tuple(q * usq + r for q, r in zip(quo, res)) == apply_tilde(phi, pre)
 
 
 def test_complement_standard_monomials_frozen(parabola):
@@ -167,6 +210,48 @@ def test_complement_dimension_schedule_independent(parabola, cusp, trefoil):
         u = P(1, 0, 1)
         comp = dec.complement(u, dec.inf_basis.e * u)
         assert complement_is_final(comp)
+
+
+def _leads_are_images(comp):
+    """Every echelon row of the built complement is phi of its preimage."""
+    comp.ensure_stable()
+    usq = comp.phi.u * comp.phi.u
+    return all(
+        apply_tilde(comp.phi, hit["preim"]) == tuple(usq * p for p in hit["row"])
+        for hit in comp.leads.values()
+    )
+
+
+def _desk_records():
+    lines = (ROOT / "data" / "desk_corpus.jsonl").read_text().splitlines()
+    return [json.loads(line) for line in lines if line.strip() and not line.startswith("#")]
+
+
+@pytest.mark.parametrize("record", _desk_records(), ids=lambda r: r["name"])
+def test_desk_complement_leads_are_images(record):
+    field = QT if record["mode"] == "telescope" else QQ
+    curve = build_curve(record["curve"], field)
+    dec = Decomposer(curve)
+    dec.decompose(build_element(record["integrand"], curve))
+    assert dec._complements
+    assert all(_leads_are_images(comp) for comp in dec._complements.values())
+
+
+@pytest.mark.parametrize(
+    "curve_text, second",
+    [
+        ("y^2 - x^2*(x-1)", None),
+        ("y^2 - x^2*(x-1)", "y"),
+        ("y^2 - x^3", None),
+        ("y^2 - x^3", "y"),
+        ("y^3 - 3*x^2*y + 2*x^3 + x^2", None),
+    ],
+)
+def test_singular_complement_leads_are_images(curve_text, second):
+    comp = _complement(build_curve(curve_text, QQ), second)
+    assert _leads_are_images(comp)
+    assert complement_is_final(comp)
+    assert _leads_are_images(comp)
 
 
 def _reduce_identity_holds(parabola, comp, inf, row):

@@ -46,6 +46,16 @@ def test_divmod_matches_long_division():
     assert not r
 
 
+def test_divmod_by_a_constant():
+    p = P(3, 0, 2)
+    assert divmod(p, R.one) == (p, R.zero)
+    assert divmod(p, P(2)) == (P(Fraction(3, 2), 0, 1), R.zero)
+    tx = POLY_X_QT.gen * QT.of(T_POLY.gen)  # t*x over Q(t)
+    q, r = divmod(tx * tx + POLY_X_QT.one, POLY_X_QT.from_coeff(QT.of(T_POLY.gen)))
+    assert q == POLY_X_QT.poly([QT.one / QT.of(T_POLY.gen), 0, QT.of(T_POLY.gen)])
+    assert not r
+
+
 def test_gcd_is_monic_common_factor():
     a = P(-1, 0, 1) * P(2, 1)  # (x^2-1)(x+2)
     b = P(1, 1) * P(3, 1)      # (x+1)(x+3)
