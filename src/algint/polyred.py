@@ -116,8 +116,10 @@ def _repair_at_infinity(vb):
 
 def _dvr_enlarge(vb, theta):
     """Basis of the module over the local ring at infinity spanned by vb and
-    theta, by valuation-minimal pivoting; row operations only ever subtract
-    multiples with nonnegative valuation, so the span is preserved."""
+    theta, by valuation-minimal pivoting.  A pivot clears its column only in
+    the rows below it, subtracting multiples of nonnegative valuation, so
+    the span is preserved and every row stays a combination of vb and theta
+    with coefficients in the local ring."""
     cur = vb.curve
     n = cur.n
     xf = cur.xfrac
@@ -137,8 +139,8 @@ def _dvr_enlarge(vb, theta):
         if piv is None:
             continue
         rows[r], rows[piv] = rows[piv], rows[r]
-        for i in range(len(rows)):
-            if i != r and rows[i][col]:
+        for i in range(r + 1, len(rows)):
+            if rows[i][col]:
                 factor = rows[i][col] / rows[r][col]
                 rows[i] = [
                     rows[i][j] - factor * rows[r][j] for j in range(n)

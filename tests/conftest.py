@@ -33,7 +33,8 @@ def cusp():
 
 @pytest.fixture
 def trefoil():
-    """Degree-3 cover with a non-squarefree derivation denominator."""
+    """Degree-3 cover singular at the origin whose power basis already has a
+    squarefree derivation denominator e = x^2 + 1/4*x."""
     return build_curve("y^3 - 3*x^2*y + 2*x^3 + x^2", QQ)
 
 

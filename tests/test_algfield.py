@@ -353,11 +353,15 @@ def test_power_basis_handles_nontrivial_leading_coefficient():
 
 
 def test_initial_suitable_basis_certificates(parabola, trefoil, legendre):
-    for curve in (parabola, trefoil, legendre):
+    # the power basis of the last curve has a non-squarefree e
+    repaired = build_curve("y^3 + x*y^2 + x^4", QQ)
+    assert not power_basis(repaired).e_squarefree
+    for curve in (parabola, trefoil, legendre, repaired):
         basis = initial_suitable_basis(curve)
         assert all(w.is_integral() for w in basis.elements)
         assert basis.e_squarefree
         assert is_squarefree(basis.e)
+        assert basis.module_contains(power_basis(curve))
 
 
 @given(polys_over_qq(max_degree=2))

@@ -6,12 +6,14 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from algint.algfield import FieldBasis, discriminant
+from algint.algfield import FieldBasis, discriminant, power_basis
 from algint.hermite import lazy_hermite_reduce
 from algint.parsing import build_curve, build_element
 from algint.polyred import (
     ComplementNV,
     Decomposer,
+    _suitable_at_inf,
+    _val_inf,
     additive_decompose,
     antiderivative,
     compute_u,
@@ -66,6 +68,19 @@ def test_infinity_basis_legendre(legendre):
     assert [str(w) for w in inf.elements] == ["1", "1/x^2*y"]
     assert str(inf.e) == "x^3 + (-t - 1)*x^2 + t*x"
     assert all(b.degree < inf.e.degree for row in inf.mmat for b in row)
+
+
+def test_repairs_at_infinity_reach_a_suitable_basis():
+    # the scaled power basis of this quartic is not suitable at infinity;
+    # two certified enlargements of the local module make it so
+    curve = build_curve("y^4 + x^2*y^3 + x^2*y - x^3", QQ)
+    start = FieldBasis(curve, [infinity_scale(w) for w in power_basis(curve).elements])
+    assert not _suitable_at_inf(start)
+    inf = suitable_at_infinity(curve)
+    assert _suitable_at_inf(inf)
+    assert all(w.is_integral_at_infinity() for w in inf.elements)
+    for w in start.elements:
+        assert all(_val_inf(c) >= 0 for c in inf.coords_of(w))
 
 
 def test_infinity_basis_elements_integral_at_infinity(parabola, cusp, trefoil):
@@ -407,3 +422,11 @@ def test_decompose_on_trefoil_curve(trefoil):
     dec = Decomposer(trefoil).decompose(g.dx())
     assert dec.integrable
     assert (dec.antiderivative() - g).dx() == trefoil.zero()
+
+
+def test_integrate_over_a_repaired_initial_basis():
+    # the power basis of this cubic has a non-squarefree e
+    curve = build_curve("y^3 + x*y^2 + x^4", QQ)
+    g = elem(curve, "y^2/x")
+    assert antiderivative(g.dx()) == g
+    assert antiderivative(g.dx() + elem(curve, "1/(x - 5)")) is None
