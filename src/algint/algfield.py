@@ -380,15 +380,16 @@ class FieldBasis:
         return f"FieldBasis({', '.join(str(w) for w in self.elements)})"
 
 
+def scaled_powers(curve):
+    """1, ly, ..., (ly)^(n-1) with l the y-leading coefficient of the raw
+    curve; all of them are integral."""
+    ly = curve.from_x(curve.lead) * curve.gen()
+    return [ly**j for j in range(curve.n)]
+
+
 def power_basis(curve):
-    """The scaled power basis 1, ly, (ly)^2, ... with l the y-leading
-    coefficient of the raw curve; all elements are integral."""
-    lead = curve.from_x(curve.lead)
-    y = curve.gen()
-    elems = [curve.one()]
-    for _ in range(curve.n - 1):
-        elems.append(elems[-1] * lead * y)
-    return FieldBasis(curve, elems)
+    """The scaled power basis: the basis of scaled_powers(curve)."""
+    return FieldBasis(curve, scaled_powers(curve))
 
 
 def initial_suitable_basis(curve):

@@ -283,9 +283,8 @@ def _solve_leaves(a_mat, rhs, v, ring):
                     a_mat, rhs, w2.monic(), ring
                 )
             witness = (tuple(lmat[i]), r)
-            return [
-                SolveLeaf(v, "inconsistent", None, (), tuple(map(tuple, _coker_rows(lmat, used_rows, n))), witness)
-            ]
+            coker = tuple(tuple(lmat[j]) for j in range(n) if j not in used_rows)
+            return [SolveLeaf(v, "inconsistent", None, (), coker, witness)]
         cokernel.append(tuple(lmat[i]))
     solution = [ring.zero] * n
     for col, piv in pivot_of_col.items():
@@ -301,10 +300,6 @@ def _solve_leaves(a_mat, rhs, v, ring):
         kernel.append(tuple(vec))
     status = "underdetermined" if kernel else "unique"
     return [SolveLeaf(v, status, tuple(solution), tuple(kernel), tuple(cokernel), None)]
-
-
-def _coker_rows(lmat, used_rows, n):
-    return [lmat[i] for i in range(n) if i not in used_rows]
 
 
 def _combine_leaves(leaves, n, ring):

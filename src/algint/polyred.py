@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algfield import AlgElem, FieldBasis, discriminant, power_basis
+from .algfield import AlgElem, FieldBasis, discriminant, scaled_powers
 from .errors import AlgintError, RankDeficient, SuitabilityFailure
 from .hermite import lazy_hermite_reduce
 from .linalg import nullspace, transpose, vec_mat
@@ -31,18 +31,6 @@ def _val_inf(rf):
     if not rf:
         return 10**9
     return rf.den.degree - rf.num.degree
-
-
-def infinity_scale(w):
-    """w/x^k for the smallest k that makes it integral at infinity."""
-    cur = w.curve
-    xinv = cur.from_x(cur.xfrac.of(cur.xring.one, cur.xring.gen))
-    cand = w
-    for _ in range(256):
-        if cand.is_integral_at_infinity():
-            return cand
-        cand = cand * xinv
-    raise AlgintError("no power of x makes the element integral at infinity")
 
 
 def _max_deg(rows):
@@ -58,14 +46,30 @@ def _suitable_at_inf(vb):
     return _max_deg(vb.mmat) < vb.e.degree
 
 
+def start_at_infinity(curve):
+    """The elements (l*y)^j / x^k_j that suitable_at_infinity starts from."""
+    n, a = curve.n, curve.m.coeffs
+    degs = [
+        (-_val_inf(curve.lead**i * a[n - i]), i) for i in range(1, n + 1) if a[n - i]
+    ]
+    x = curve.xfrac.gen
+    out = []
+    for j, w in enumerate(scaled_powers(curve)):
+        k = max([0] + [-(-j * d // i) for d, i in degs])
+        out.append(w * curve.from_x(x**-k))
+    return out
+
+
 def suitable_at_infinity(curve):
     """Basis V, integral at infinity, whose derivation data e*V' = M*V has
-    every entry of M of degree below deg e.  Built by scaling an integral
-    basis down by powers of x and enlarging the local module at infinity
-    until the derivation data is suitable there; the decomposition may work
-    with a polynomial multiple of e."""
-    start = power_basis(curve)
-    vb = FieldBasis(curve, [infinity_scale(w) for w in start.elements])
+    every entry of M of degree below deg e (the decomposition may use a
+    polynomial multiple of e).  It starts from each (l*y)^j over the least
+    x^k_j that makes it integral at infinity: with m = y^n + ... + a_0, l*y
+    is a root of T^n + c_1*T^(n-1) + ... + c_n, c_i = l^i * a_(n-i), whose
+    roots have least valuation min_i v(c_i)/i (the Newton polygon at
+    infinity), so k_j = max(0, max_i ceil(j*deg c_i / i)) over nonzero c_i.
+    The local module at infinity is then enlarged until it is suitable."""
+    vb = FieldBasis(curve, start_at_infinity(curve))
     for _ in range(64):
         if _suitable_at_inf(vb):
             return vb
@@ -86,23 +90,15 @@ def _repair_at_infinity(vb):
     top = _max_deg(bmat)
     k = 2 + top - a.degree
     xf = cur.xfrac
-    x = cur.xring.gen
-    power = xf.of(x) ** (3 - k) if 3 - k >= 0 else xf.one / xf.of(x) ** (k - 3)
-    scale = cur.from_x(power / xf.of(a))
+    scale = cur.from_x(xf.gen ** (3 - k) / xf.of(a))
     candidates = [scale * vb.combine([xf.of(p) for p in row]) for row in bmat]
     field_k = cur.field
-    btop = tuple(
-        tuple(
-            bmat[i][j].coeff(top) if bmat[i][j].degree == top else field_k.zero
-            for j in range(cur.n)
-        )
-        for i in range(cur.n)
-    )
+    btop = tuple(tuple(p.coeff(top) for p in row) for row in bmat)
     vectors = list(nullspace(transpose(btop), field_k))
     for v in nullspace(btop, field_k):
         if v not in vectors:
             vectors.append(v)
-    x_elem = cur.from_x(xf.of(x))
+    x_elem = cur.from_x(xf.gen)
     candidates += [x_elem * vb.combine(c) for c in vectors]
     for theta in candidates:
         if not theta or not theta.is_integral_at_infinity():

@@ -365,8 +365,6 @@ class FracField:
             if v.field == self:
                 return v
             raise DomainError(f"fraction from {v.field!r} used in {self!r}")
-        if isinstance(v, Poly):
-            return RatFunc(self, self.ring.coerce(v), self.ring.one)
         return RatFunc(self, self.ring.coerce(v), self.ring.one)
 
     def __eq__(self, other):

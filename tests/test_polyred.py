@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from algint.algfield import FieldBasis, discriminant, power_basis
+from algint.algfield import AlgElem, FieldBasis, discriminant
 from algint.hermite import lazy_hermite_reduce
 from algint.parsing import build_curve, build_element
 from algint.polyred import (
@@ -18,7 +18,7 @@ from algint.polyred import (
     antiderivative,
     compute_u,
     euclid_split,
-    infinity_scale,
+    start_at_infinity,
     suitable_at_infinity,
 )
 from algint.rings import QQ, QT, POLY_X_QQ, gcd
@@ -42,9 +42,30 @@ def P(*coeffs):
 # ---------------------------------------------------------------------------
 # behaviour at infinity
 
-def test_infinity_scale_frozen(parabola):
-    assert infinity_scale(parabola.gen()) == elem(parabola, "y/x")
-    assert infinity_scale(parabola.one()) == parabola.one()
+def test_start_at_infinity_frozen(parabola):
+    assert start_at_infinity(parabola) == [parabola.one(), elem(parabola, "y/x")]
+
+
+def test_start_at_infinity_builds_one_basis_and_no_char_poly(
+    parabola, legendre, monkeypatch
+):
+    counts = {"char_poly": 0, "FieldBasis": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(AlgElem, "char_poly", counted("char_poly", AlgElem.char_poly))
+    monkeypatch.setattr(
+        FieldBasis, "__init__", counted("FieldBasis", FieldBasis.__init__)
+    )
+    for curve in (parabola, legendre):
+        counts.update(char_poly=0, FieldBasis=0)
+        suitable_at_infinity(curve)
+        assert counts == {"char_poly": 0, "FieldBasis": 1}
 
 
 def test_infinity_basis_parabola(parabola):
@@ -71,10 +92,10 @@ def test_infinity_basis_legendre(legendre):
 
 
 def test_repairs_at_infinity_reach_a_suitable_basis():
-    # the scaled power basis of this quartic is not suitable at infinity;
-    # two certified enlargements of the local module make it so
+    # the start basis of this quartic is not suitable at infinity; an
+    # enlargement of the local module makes it so
     curve = build_curve("y^4 + x^2*y^3 + x^2*y - x^3", QQ)
-    start = FieldBasis(curve, [infinity_scale(w) for w in power_basis(curve).elements])
+    start = FieldBasis(curve, start_at_infinity(curve))
     assert not _suitable_at_inf(start)
     inf = suitable_at_infinity(curve)
     assert _suitable_at_inf(inf)
