@@ -46,7 +46,7 @@ def test_start_at_infinity_frozen(parabola):
     assert start_at_infinity(parabola) == [parabola.one(), elem(parabola, "y/x")]
 
 
-def test_start_at_infinity_builds_one_basis_and_no_char_poly(
+def test_suitable_at_infinity_without_repair_builds_one_basis_and_no_char_poly(
     parabola, legendre, monkeypatch
 ):
     counts = {"char_poly": 0, "FieldBasis": 0}
