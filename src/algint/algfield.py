@@ -2,10 +2,10 @@
 
 Elements are polynomials in y of degree < n with coefficients in K(x),
 reduced against the monic defining polynomial.  The curve caches y' per
-derivation.  A quadratic m is refuted at construction when it factors;
-otherwise irreducibility of m is assumed, not checked: any inversion that
-stumbles over a zero divisor raises CurveReducible with the discovered
-factor.
+derivation.  A quadratic m, or a binomial y^n - p, is refuted at
+construction when it factors; otherwise irreducibility of m is assumed, not
+checked: any inversion that stumbles over a zero divisor raises
+CurveReducible with the discovered factor.
 
 A FieldBasis carries a K(x)-basis W of A together with the derivation data
 (e, M) satisfying e*W' = M*W, where e is the monic least common denominator.
@@ -31,7 +31,7 @@ from .rings import (
     common_denominator,
     ext_gcd,
     is_squarefree,
-    square_root,
+    kth_root,
     squarefree_decomposition,
     x_frac_field,
     x_poly_ring,
@@ -58,9 +58,13 @@ class Curve:
         if self.n == 2:
             # y^2 + b*y + c factors iff b^2 - 4c is a square s^2 in K(x)
             c, b, _ = self.m.coeffs
-            s = square_root(b * b - c * 4)
+            s = kth_root(b * b - c * 4, 2)
             if s is not None:
                 raise CurveReducible(self.yring.poly([(b - s) / 2, 1]))
+        elif self.n > 2 and not any(self.m.coeffs[1:-1]):
+            factor = _binomial_factor(self.yring.gen, self.n, -self.m.coeffs[0])
+            if factor is not None:
+                raise CurveReducible(factor)
 
     def __eq__(self, other):
         return self is other or (
@@ -112,6 +116,28 @@ class Curve:
             m_d = Poly(self.yring, tuple(dcoeff(c) for c in self.m.coeffs))
             dy = self._dy[dcoeff] = (-m_d * self._inv_ypoly(self.m_y)) % self.m
         return dy
+
+
+def _binomial_factor(y, n, p):
+    """A factor of y^n - p over K(x), or None if it is irreducible.
+
+    By Capelli's theorem y^n - p factors iff p = s^q for a prime q | n,
+    with factor y^(n/q) - s, or 4 | n and p = -4*s^4, with factor
+    y^(2r) - 2s*y^r + 2s^2 for n = 4r.  kth_root gives up at once on a
+    degree not divisible by q, so most curves cost no factorisation.
+    """
+    for q in range(2, n + 1):
+        if n % q or any(q % r == 0 for r in range(2, q)):
+            continue
+        s = kth_root(p, q)
+        if s is not None:
+            return y ** (n // q) - s
+    if n % 4 == 0:
+        s = kth_root(p / -4, 4)
+        if s is not None:
+            yr = y ** (n // 4)
+            return yr * yr - yr * (s * 2) + s * s * 2
+    return None
 
 
 def _dt_coeff(c):

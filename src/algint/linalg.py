@@ -141,6 +141,10 @@ def inverse(a, field):
 
 # ---------------------------------------------------------------------------
 # Hermite normal form over K[x]
+#
+# Both module enlargements run through hnf_rows: FieldBasis.enlarge over
+# K[x] for the integral basis, and polyred._dvr_enlarge over K[z], z = 1/x,
+# for the local module at infinity.
 
 
 def hnf_rows(rows, ring):

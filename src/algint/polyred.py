@@ -20,9 +20,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algfield import AlgElem, FieldBasis, discriminant, scaled_powers
-from .errors import AlgintError, RankDeficient, SuitabilityFailure
+from .errors import AlgintError, SuitabilityFailure
 from .hermite import lazy_hermite_reduce
-from .linalg import nullspace, transpose, vec_mat
+from .linalg import hnf_rows, nullspace, transpose, vec_mat
 from .rings import Poly, common_denominator, invert_mod, lcm_many, square_part_root
 
 
@@ -83,6 +83,8 @@ def _repair_at_infinity(vb):
     With k the pole order of the derivation matrix at infinity, candidates
     are x^(3-k)/a * B_i*V (the scaled derivatives of the basis elements)
     and x * c*V for constant vectors c killing the top-degree part of B.
+    Each is taken by its V-coordinates; the element itself is built only
+    for the integrality oracle.
     """
     cur = vb.curve
     a = vb.e
@@ -90,62 +92,49 @@ def _repair_at_infinity(vb):
     top = _max_deg(bmat)
     k = 2 + top - a.degree
     xf = cur.xfrac
-    scale = cur.from_x(xf.gen ** (3 - k) / xf.of(a))
-    candidates = [scale * vb.combine([xf.of(p) for p in row]) for row in bmat]
+    scale = xf.gen ** (3 - k) / xf.of(a)
+    candidates = [[scale * xf.of(p) for p in row] for row in bmat]
     field_k = cur.field
     btop = tuple(tuple(p.coeff(top) for p in row) for row in bmat)
     vectors = list(nullspace(transpose(btop), field_k))
     for v in nullspace(btop, field_k):
         if v not in vectors:
             vectors.append(v)
-    x_elem = cur.from_x(xf.gen)
-    candidates += [x_elem * vb.combine(c) for c in vectors]
-    for theta in candidates:
-        if not theta or not theta.is_integral_at_infinity():
-            continue
-        coords = vb.coords_of(theta)
+    candidates += [[xf.gen * c for c in v] for v in vectors]
+    for coords in candidates:
         if all(_val_inf(c) >= 0 for c in coords):
             continue
-        return _dvr_enlarge(vb, theta)
+        if vb.combine(coords).is_integral_at_infinity():
+            return _dvr_enlarge(vb, coords)
     raise SuitabilityFailure("no certified enlargement at infinity")
 
 
-def _dvr_enlarge(vb, theta):
+def _dvr_enlarge(vb, coords):
     """Basis of the module over the local ring at infinity spanned by vb and
-    theta, by valuation-minimal pivoting.  A pivot clears its column only in
-    the rows below it, subtracting multiples of nonnegative valuation, so
-    the span is preserved and every row stays a combination of vb and theta
-    with coefficients in the local ring."""
+    theta = coords*V, by Trager's normalisation at infinity.
+
+    Only theta modulo that module matters, so each coordinate is cut to its
+    polynomial part P_i.  With s = max deg P_i and z = 1/x, the rows z^s*e_i
+    and z^s*P(1/z) span a K[z]-lattice between z^s*K[z]^n and K[z]^n, so
+    its Hermite form (hnf_rows, as for the finite module) has powers of z
+    as pivots and entries of degree at most s.  Reversing each row back to
+    x gives K[x]-combinations of vb whose transition has a power of x as
+    determinant: the enlargement adds no pole at any x != 0, and e' divides
+    e*x^k.
+    """
     cur = vb.curve
-    n = cur.n
-    xf = cur.xfrac
-    rows = [
-        [xf.one if i == j else xf.zero for j in range(n)] for i in range(n)
-    ]
-    rows.append(list(vb.coords_of(theta)))
-    r = 0
-    for col in range(n):
-        piv = None
-        best = None
-        for i in range(r, len(rows)):
-            v = _val_inf(rows[i][col])
-            if rows[i][col] and (best is None or v < best):
-                best = v
-                piv = i
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        for i in range(r + 1, len(rows)):
-            if rows[i][col]:
-                factor = rows[i][col] / rows[r][col]
-                rows[i] = [
-                    rows[i][j] - factor * rows[r][j] for j in range(n)
-                ]
-        r += 1
-    live = [row for row in rows if any(row)]
-    if len(live) != n:
-        raise RankDeficient("local module at infinity lost full rank")
-    return FieldBasis(cur, [vb.combine(row) for row in live])
+    ring = cur.xring
+    polys = [c.num // c.den for c in coords]
+    s = _max_deg([polys])
+
+    def reverse(p):
+        return Poly(ring, (ring.coeff.zero,) * (s - p.degree) + p.coeffs[::-1])
+
+    zs = ring.monomial(ring.coeff.one, s)
+    rows = [[zs if i == j else ring.zero for j in range(cur.n)] for i in range(cur.n)]
+    rows.append([reverse(p) for p in polys])
+    h = hnf_rows(rows, ring)
+    return FieldBasis(cur, [vb.combine([reverse(p) for p in row]) for row in h])
 
 
 def compute_u(basis, b):
@@ -374,10 +363,9 @@ class ComplementNV:
         return tuple(out)
 
     def reduce(self, row):
-        """Split row = u^2*phi-image part + complement part.
+        """Split a row of K[x]^n into its image and complement parts.
 
-        Returns (p1, q2) with row = u^2 * phi(p1) / u^2 ... i.e. as exact
-        polynomial rows: row = phi(p1) + q2 where phi(p1) is computed in
+        Returns (p1, q2) with row = phi(p1) + q2, where phi(p1) lies in
         K[x]^n and q2 is supported on standard monomials.
         """
         self.ensure_stable()

@@ -754,31 +754,49 @@ def square_part_root(p):
     return out
 
 
-def square_root(c):
-    """A square root of a tower element, or None if it has none.
+def _int_root(n, k):
+    """The k-th root of the integer n >= 1, or None if n is not a k-th power."""
+    r = 1 << -(-n.bit_length() // k)
+    while True:  # Newton's iteration, from above
+        s = ((k - 1) * r + n // r ** (k - 1)) // k
+        if s >= r:
+            return r if r**k == n else None
+        r = s
 
-    Zero is its own root.  A Fraction needs a square numerator and
-    denominator; a polynomial an even degree, a square leading coefficient
-    and no squarefree part left by square_part_root; a fraction of
-    polynomials a root of its numerator and of its denominator.
+
+def kth_root(c, k):
+    """A k-th root of a tower element, or None if it has none.
+
+    Zero is its own root.  A Fraction needs integer k-th roots of its
+    numerator and denominator, taken with its sign when k is odd; a
+    polynomial a degree divisible by k, a k-th root of its leading
+    coefficient and multiplicities divisible by k in its squarefree
+    decomposition; a fraction of polynomials a root of its denominator and
+    of its numerator.
     """
     if not c:
         return c
     if isinstance(c, Fraction):
-        if c < 0:
+        if c < 0 and k % 2 == 0:
             return None
-        n, d = math.isqrt(c.numerator), math.isqrt(c.denominator)
-        if n * n != c.numerator or d * d != c.denominator:
+        n, d = _int_root(abs(c.numerator), k), _int_root(c.denominator, k)
+        if n is None or d is None:
             return None
-        return Fraction(n, d)
+        return Fraction(-n if c < 0 else n, d)
     if isinstance(c, Poly):
-        root = None if c.degree % 2 else square_root(c.lc)
+        root = None if c.degree % k else kth_root(c.lc, k)
         if root is None:
             return None
-        f = square_part_root(c)
-        return f * root if f * f == c.monic() else None
-    n, d = square_root(c.num), square_root(c.den)
-    if n is None or d is None:
+        _, factors = squarefree_decomposition(c)
+        if any(mult % k for _, mult in factors):
+            return None
+        out = c.ring.from_coeff(root)
+        for f, mult in factors:
+            out = out * f ** (mult // k)
+        return out
+    d = kth_root(c.den, k)
+    n = None if d is None else kth_root(c.num, k)
+    if n is None:
         return None
     return RatFunc(c.field, n, d)
 

@@ -56,8 +56,9 @@ def test_zero_division_rejected(parabola):
 
 
 def test_reducible_curve_detected_on_inversion():
-    # past degree 2 a factor is found only when an inversion meets it
-    curve = build_curve("y^3 - x^3", QQ)
+    # past degree 2 a curve that is no binomial is refuted only when an
+    # inversion meets its factor: here (y - x)*(y^2 + x)
+    curve = build_curve("y^3 - x*y^2 + x*y - x^2", QQ)
     y = curve.gen()
     x = curve.from_x(curve.xfrac.gen)
     with pytest.raises(CurveReducible):
@@ -119,6 +120,74 @@ def test_quadratic_reducibility_matches_sympy():
             refuted = True
         expr = ys**2 + to_sympy(c1) * ys + to_sympy(c0)
         _, factors = sympy.factor_list(expr, ys, xs)
+        in_y = sum(mult for fac, mult in factors if sympy.degree(fac, ys) > 0)
+        assert refuted == (in_y >= 2)
+
+    check()
+
+
+@pytest.mark.parametrize(
+    "text, field, factor",
+    [
+        ("y^4 - x^2", QQ, "y^2 - x"),
+        ("y^3 - x^3", QQ, "y - x"),
+        ("y^6 - x^3", QQ, "y^2 - x"),
+        ("y^4 + 4*x^4", QQ, "y^2 - 2*x*y + 2*x^2"),  # p = -4*s^4
+        ("y^3 - t^3*x^6", QT, "y - t*x^2"),
+        ("x^3*y^3 + 8", QQ, "y + 2/x"),
+    ],
+    ids=str,
+)
+def test_reducible_binomial_curve_refuted(text, field, factor):
+    with pytest.raises(CurveReducible, match=re.escape(f"discovered factor {factor}") + "$"):
+        build_curve(text, field)
+
+
+@pytest.mark.parametrize(
+    "text, field",
+    [
+        ("y^3 - x^2", QQ),
+        ("y^4 - x", QQ),
+        ("y^4 + x^4", QQ),  # -x^4 is neither a square nor -4 times a 4th power
+        ("y^6 - x^3*(x + 1)", QQ),  # even degree, yet no square
+        ("y^3 - x*(x - 1)*(x - t)", QT),
+        ("y^2 - x^3", QQ),  # cusp
+        ("y^3 - 3*x^2*y + 2*x^3 + x^2", QQ),  # trefoil
+        ("y^2 - x*(x - 1)*(x - t)", QT),  # Legendre
+    ],
+    ids=str,
+)
+def test_irreducible_curve_passes_the_binomial_test(text, field):
+    assert build_curve(text, field).n >= 2
+
+
+def test_binomial_reducibility_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    xs, ys = sympy.symbols("x y")
+    yring = PolyRing(RAT_X_QQ, "y")
+
+    def to_sympy(p):
+        return sum(
+            sympy.Rational(c.numerator, c.denominator) * xs**k
+            for k, c in enumerate(p.coeffs)
+        )
+
+    @given(
+        st.integers(min_value=3, max_value=6),
+        polys_over_qq(max_degree=2),
+        st.integers(min_value=1, max_value=4),
+        st.sampled_from([1, -1, 2, -4, 8, -27]),
+    )
+    def check(n, s, k, c):
+        # y^n - c*s^k: powers and the -4*s^4 shape make reducible cases common
+        p = s**k * c
+        m = yring.poly([RAT_X_QQ.coerce(-p)] + [0] * (n - 1) + [1])
+        try:
+            Curve(m, QQ)
+            refuted = False
+        except CurveReducible:
+            refuted = True
+        _, factors = sympy.factor_list(ys**n - to_sympy(p), ys, xs)
         in_y = sum(mult for fac, mult in factors if sympy.degree(fac, ys) > 0)
         assert refuted == (in_y >= 2)
 

@@ -222,6 +222,15 @@ def test_cli_reducible_quadratic_curve_exit_code(capsys):
     assert "CurveReducible" in captured.err
 
 
+@pytest.mark.parametrize("curve", ["y^4 - x^2", "y^3 - x^3", "y^6 - x^3", "y^4 + 4*x^4"])
+def test_cli_reducible_binomial_curve_exit_code(capsys, curve):
+    rc = main(["integrate", "--curve", curve, "--integrand", "y/x"])
+    captured = capsys.readouterr()
+    assert rc == 3
+    assert captured.out == ""
+    assert "CurveReducible" in captured.err
+
+
 def test_cli_import_leaves_the_process_pool_out():
     code = "import sys, algint.cli; print('concurrent.futures.process' in sys.modules)"
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))

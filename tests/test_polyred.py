@@ -9,9 +9,11 @@ from hypothesis import given, settings, strategies as st
 from algint.algfield import AlgElem, FieldBasis, discriminant
 from algint.hermite import lazy_hermite_reduce
 from algint.parsing import build_curve, build_element
+from algint import polyred
 from algint.polyred import (
     ComplementNV,
     Decomposer,
+    _repair_at_infinity,
     _suitable_at_inf,
     _val_inf,
     additive_decompose,
@@ -102,6 +104,28 @@ def test_repairs_at_infinity_reach_a_suitable_basis():
     assert all(w.is_integral_at_infinity() for w in inf.elements)
     for w in start.elements:
         assert all(_val_inf(c) >= 0 for c in inf.coords_of(w))
+
+
+def test_enlargement_at_infinity_adds_no_finite_pole(monkeypatch):
+    # one repair of the quartic's start basis: the new basis differs from
+    # the old one only at x = 0 and at infinity, so e gains at most a power
+    # of x, and it holds the candidate theta over the local ring at infinity
+    curve = build_curve("y^4 + x^2*y^3 + x^2*y - x^3", QQ)
+    start = FieldBasis(curve, start_at_infinity(curve))
+    enlarge = polyred._dvr_enlarge
+    thetas = []
+
+    def spy(vb, coords):
+        thetas.append(vb.combine(coords))
+        return enlarge(vb, coords)
+
+    monkeypatch.setattr(polyred, "_dvr_enlarge", spy)
+    inf = _repair_at_infinity(start)
+    (theta,) = thetas
+    assert start.e.degree == inf.e.degree == 10
+    assert (start.e * R.gen ** inf.e.degree) % inf.e == R.zero
+    assert all(_val_inf(c) >= 0 for c in inf.coords_of(theta))
+    assert all(w.is_integral_at_infinity() for w in inf.elements)
 
 
 def test_infinity_basis_elements_integral_at_infinity(parabola, cusp, trefoil):

@@ -17,11 +17,11 @@ from algint.rings import (
     gcd,
     invert_mod,
     is_squarefree,
+    kth_root,
     lcm,
     lcm_many,
     poly_crt,
     square_part_root,
-    square_root,
     squarefree_decomposition,
 )
 
@@ -413,24 +413,44 @@ def test_quotient_rule_frozen_over_qt_x(num, den):
 
 
 # ---------------------------------------------------------------------------
-# square roots through the tower
+# k-th roots through the tower
 
 
 def test_square_root_frozen():
-    assert square_root(Fraction(9, 4)) == Fraction(3, 2)
-    assert square_root(Fraction(2)) is None
-    assert square_root(Fraction(-4)) is None
-    assert square_root(R.zero) == R.zero
-    assert square_root(P(1, 2, 1)) == P(1, 1)
-    assert square_root(P(0, 0, 4)) == P(0, 2)
-    assert square_root(P(0, 0, 2)) is None
-    assert square_root(P(0, 0, 0, 1)) is None
-    assert square_root(F.of(P(4), P(1, 2, 1))) == F.of(P(2), P(1, 1))
-    assert square_root(RAT_X_QT.of(X * X * t * t)) == RAT_X_QT.of(X * t)
-    assert square_root(RAT_X_QT.of(X * X * t)) is None
+    assert kth_root(Fraction(9, 4), 2) == Fraction(3, 2)
+    assert kth_root(Fraction(2), 2) is None
+    assert kth_root(Fraction(-4), 2) is None
+    assert kth_root(R.zero, 2) == R.zero
+    assert kth_root(P(1, 2, 1), 2) == P(1, 1)
+    assert kth_root(P(0, 0, 4), 2) == P(0, 2)
+    assert kth_root(P(0, 0, 2), 2) is None
+    assert kth_root(P(0, 0, 0, 1), 2) is None
+    assert kth_root(F.of(P(4), P(1, 2, 1)), 2) == F.of(P(2), P(1, 1))
+    assert kth_root(RAT_X_QT.of(X * X * t * t), 2) == RAT_X_QT.of(X * t)
+    assert kth_root(RAT_X_QT.of(X * X * t), 2) is None
+
+
+def test_kth_root_frozen():
+    assert kth_root(Fraction(-27, 8), 3) == Fraction(-3, 2)
+    assert kth_root(Fraction(16, 81), 4) == Fraction(2, 3)
+    assert kth_root(Fraction(-16), 4) is None
+    assert kth_root(Fraction(3**90 + 1) ** 5, 5) == Fraction(3**90 + 1)
+    assert kth_root(Fraction(3**90 + 1) ** 5 + 1, 5) is None
+    assert kth_root(P(0, 0, 0, -8), 3) == P(0, -2)
+    assert kth_root(P(1, 2, 1), 3) is None
+    # degree 3, but x^2*(x+1) is no cube
+    assert kth_root(P(0, 0, 1, 1), 3) is None
+    assert kth_root(F.of(P(1), P(0, 0, 0, 1)), 3) == F.of(P(1), P(0, 1))
+    assert kth_root(RAT_X_QT.of(X**4 * t**4), 4) == RAT_X_QT.of(X * t)
 
 
 @given(ratfuncs_over_qq())
 def test_square_root_of_a_square(r):
-    s = square_root(r * r)
+    s = kth_root(r * r, 2)
     assert s is not None and s * s == r * r
+
+
+@given(ratfuncs_over_qq(), st.integers(min_value=3, max_value=5))
+def test_kth_root_of_a_kth_power(r, k):
+    s = kth_root(r**k, k)
+    assert s is not None and s**k == r**k
