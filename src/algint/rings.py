@@ -26,7 +26,6 @@ the gcds that can cancel something are taken.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 
 from .errors import DomainError
