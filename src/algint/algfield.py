@@ -388,6 +388,11 @@ class FieldBasis:
             out = out + self.curve.from_x(c) * w
         return out
 
+    def element(self, den, numer):
+        """(1/den) * numer*W as a field element, for den and numer over K[x]."""
+        xf = self.curve.xfrac
+        return self.combine([xf.of(a, den) for a in numer])
+
     def enlarge(self, new_elements):
         """Basis of the K[x]-module generated by this basis and new_elements."""
         cur = self.curve
@@ -419,26 +424,29 @@ def power_basis(curve):
 
 
 def initial_suitable_basis(curve):
-    """A basis of integral elements whose derivation denominator e is
-    squarefree, starting from the scaled power basis and enlarging the
-    module on demand."""
-    basis = power_basis(curve)
-    guard = 0
-    while not basis.e_squarefree:
+    """make_suitable of the scaled power basis."""
+    return make_suitable(power_basis(curve))
+
+
+def make_suitable(basis):
+    """The basis itself if its derivation denominator e is squarefree, else
+    the basis reached by certified enlargements of its module until e is."""
+    for _ in range(64):
+        if basis.e_squarefree:
+            return basis
         basis = _repair_suitability(basis)
-        guard += 1
-        if guard > 64:
-            raise SuitabilityFailure("enlargement did not reach a squarefree e")
-    return basis
+    raise SuitabilityFailure("enlargement did not reach a squarefree e")
 
 
 def _repair_suitability(basis):
     """One certified module enlargement for a basis with non-squarefree e.
 
     Candidates, tried in a fixed order: (e/p) * w_i' = (1/p) * M_i*W for
-    each basis element, then (1/p) * c*W for kernel vectors c of M mod p,
-    where p runs over the repeated factors of e.  Each candidate must pass
-    the integrality oracle and lie outside the current module.
+    each basis element, then (1/w) * c*W for the update vectors c of each
+    leaf of the solve of c*M = 0 mod p (SolveLeaf.update_vectors), with w
+    the leaf modulus, where p runs over the repeated factors of e.  Each
+    candidate must pass the integrality oracle and lie outside the current
+    module.
     """
     cur = basis.curve
     _, factors = squarefree_decomposition(basis.e)
@@ -450,14 +458,11 @@ def _repair_suitability(basis):
         outcome = solve_mod(
             basis.mmat, (cur.xring.zero,) * cur.n, p, cur.xring
         )
-        vectors = list(outcome.kernel)
-        for leaf in outcome.leaves:
-            for v in leaf.cokernel:
-                if v not in vectors:
-                    vectors.append(v)
-        candidates = [
-            basis.combine([cur.xfrac.of(ci, p) for ci in c])
-            for c in basis.mmat + tuple(vectors)
+        candidates = [basis.element(p, row) for row in basis.mmat]
+        candidates += [
+            basis.element(leaf.modulus, c)
+            for leaf in outcome.leaves
+            for c in leaf.update_vectors()
         ]
         theta, rejected = basis.first_new_integral(candidates)
         tried.extend(rejected)

@@ -320,11 +320,14 @@ def _cmd_corpus(args):
             for number, line in enumerate(fh, 1)
             if line.strip() and not line.startswith("#")
         ]
-    if args.jobs > 1:
+    # at most one worker per record: under fork, a pool starts every
+    # worker at its first submit
+    jobs = min(args.jobs, len(lines))
+    if jobs > 1:
         # imported here: the process pool costs every other run start-up time
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_run_line, lines))
     else:
         results = [_run_line(line) for line in lines]

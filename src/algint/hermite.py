@@ -1,15 +1,20 @@
 """Lazy Hermite reduction.
 
-Works with any basis W of integral elements whose derivation denominator e
-is squarefree.  Each step removes one order from a repeated pole by solving
-a row system modulo the squarefree layer v; when the system is degenerate
-the step instead certifies a new integral element outside the current
-module, the module is enlarged, and the current integrand is presented
+Works over a suitable basis W: integral elements whose derivation
+denominator e is squarefree.  The integrand is kept as
+(1/(u*v^d)) * numer*W with v squarefree, gcd(u, v) = 1 and e | u*v.  Each
+step removes one order from the repeated pole v by solving the row system
+b*A = numer mod v with A = (uv/e)*M - (d-1)*u*v'*I.  When A is singular
+modulo a factor w of v, Bronstein's lemma turns every row vector c with
+c*A = 0 mod w into an integral element (1/w) * c*W outside the module
+(basis_update).  The module is enlarged by one certified element, made
+suitable again (algfield.make_suitable), and the integrand is presented
 anew over it.
 
-The reduction never computes an integral basis.  Degenerate systems are the
-only source of module enlargements, and each enlargement strictly divides
-the module discriminant, so only finitely many can occur.
+The reduction never computes an integral basis.  Degenerate steps and the
+suitability repairs after them are the only module enlargements; each
+strictly enlarges the module inside the integral closure, so only finitely
+many can occur.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .algfield import AlgElem, FieldBasis, initial_suitable_basis
+from .algfield import AlgElem, FieldBasis, initial_suitable_basis, make_suitable
 from .errors import AlgintError, UpdateCandidatesExhausted
 from .linalg import SolveOutcome, solve_mod, vec_mat
 from .rings import Poly, common_denominator, gcd, squarefree_decomposition
@@ -35,7 +40,7 @@ class PolePresentation:
     numer: tuple
 
     def element(self):
-        return _element(self.basis, self.u * self.v**self.d, self.numer)
+        return self.basis.element(self.u * self.v**self.d, self.numer)
 
 
 @dataclass(frozen=True)
@@ -48,13 +53,7 @@ class Remainder:
     nums: tuple
 
     def element(self):
-        return _element(self.basis, self.d * self.basis.e, self.nums)
-
-
-def _element(basis, den, numer):
-    """(1/den) * numer*W as a field element."""
-    xf = basis.curve.xfrac
-    return basis.combine([xf.of(a, den) for a in numer])
+        return self.basis.element(self.d * self.basis.e, self.nums)
 
 
 @dataclass(frozen=True)
@@ -70,7 +69,6 @@ class StepReduced:
 @dataclass(frozen=True)
 class StepDegenerate:
     presentation: PolePresentation
-    matrix: tuple
     outcome: SolveOutcome
 
 
@@ -128,9 +126,12 @@ def hermite_step(pres):
     """One reduction step.  Solves b*(uv/e * M - (d-1)*u*v'*I) = numer mod v.
 
     A unique solution yields g = (1/v^(d-1)) * b*W and the reduced rest of
-    the integrand.  A degenerate system is returned with its matrix and solve
-    outcome so the caller can extract update candidates (or, for a solvable
-    but underdetermined system, still apply the particular solution).
+    the integrand,
+
+        f - g' = (1/(u*v^(d-1))) * ((numer - u*v*b' - b*A)/v)*W.
+
+    A degenerate system is returned with its solve outcome, whose leaves
+    carry the vectors basis_update draws its candidates from.
     """
     basis = pres.basis
     ring = basis.curve.xring
@@ -144,14 +145,8 @@ def hermite_step(pres):
         for i, row in enumerate(basis.mmat)
     )
     outcome = solve_mod(matrix, pres.numer, pres.v, ring)
-    if outcome.status == "unique":
-        return _apply_solution(pres, matrix, outcome)
-    return StepDegenerate(presentation=pres, matrix=matrix, outcome=outcome)
-
-
-def _apply_solution(pres, matrix, outcome):
-    """f - g' = (1/(u*v^(d-1))) * ((numer - u*v*b' - b*matrix)/v)*W for
-    g = (1/v^(d-1)) * b*W."""
+    if outcome.status != "unique":
+        return StepDegenerate(presentation=pres, outcome=outcome)
     b = outcome.solution
     vpow = pres.v ** (pres.d - 1)
     uv = pres.u * pres.v
@@ -160,7 +155,7 @@ def _apply_solution(pres, matrix, outcome):
         for a, bi, bm in zip(pres.numer, b, vec_mat(b, matrix))
     )
     return StepReduced(
-        g_part=_element(pres.basis, vpow, b),
+        g_part=basis.element(vpow, b),
         rest_den=pres.u * vpow,
         rest_numer=rest_numer,
         outcome=outcome,
@@ -171,40 +166,43 @@ def basis_update(step):
     """Certified integral element outside the current module, derived from a
     degenerate step.
 
-    Candidate order: for each degenerate leaf of the solve outcome, first
-    u * c*W' = (u/e) * (c*M)*W for the leaf's kernel and cokernel vectors c,
-    read from e*W' = M*W, then the direct quotients (1/w) * c*W with w the
-    leaf modulus.  Inconsistent systems restrict to their inconsistent
-    leaves; the certificate vectors of those carry the obstruction.  Every
-    candidate must pass the integrality oracle and lie outside the module.
+    The lemma (Bronstein, lazy Hermite reduction, INRIA RR-3562, 1998).  Let
+    w be a factor of v, c a row vector with c*A = 0 mod w, and
+    g = c*W / v^(d-1).  From e*W' = M*W,
+
+        u*v^d * g' = (u*v*c' + c*A)*W,
+
+    and w divides both terms, so the coordinates of g' over W have a pole
+    of order at most d-1 at w (gcd(u, v) = 1 because e is squarefree).  W
+    is integral, and d/dx deepens a pole at a place over w by the
+    ramification index there, so g has pole order at most d-2 at w, and
+    (1/w) * c*W = g * v^(d-1)/w is integral.  It lies outside the module
+    whenever c is nonzero mod w.
+
+    Candidates come from the degenerate leaves of the solve: the
+    inconsistent leaves of an inconsistent system, else the underdetermined
+    ones, each with the vectors c of SolveLeaf.update_vectors (row kernel,
+    then cokernel).  First the derived u * c*W' = (u/e) * (c*M)*W for every
+    vector, then the quotients (1/w) * c*W with w the leaf modulus.  A
+    degenerate leaf has a nonempty row kernel, so by the lemma some
+    quotient is certified.  Every candidate still has to pass the
+    integrality oracle and lie outside the module; UpdateCandidatesExhausted
+    guards against a failure of that argument.
     """
     pres = step.presentation
     basis = pres.basis
-    cur = basis.curve
-    degenerate = [
-        leaf
+    wanted = "inconsistent" if step.outcome.status == "inconsistent" else "underdetermined"
+    vectors = [
+        (leaf.modulus, c)
         for leaf in step.outcome.leaves
-        if leaf.status
-        == ("inconsistent" if step.outcome.status == "inconsistent" else "underdetermined")
+        if leaf.status == wanted
+        for c in leaf.update_vectors()
     ]
-    leaf_vectors = []
-    for leaf in degenerate:
-        vectors = []
-        if leaf.status == "underdetermined":
-            vectors.extend(leaf.kernel)
-        for v in leaf.cokernel:
-            if v not in vectors:
-                vectors.append(v)
-        leaf_vectors.append((leaf, vectors))
-    candidates = []
-    for leaf, vectors in leaf_vectors:
-        for c in vectors:
-            cm = vec_mat(c, basis.mmat)
-            candidates.append(_element(basis, basis.e, [pres.u * a for a in cm]))
-    for leaf, vectors in leaf_vectors:
-        for c in vectors:
-            quotient = [cur.xfrac.of(ci, leaf.modulus) for ci in c]
-            candidates.append(basis.combine(quotient))
+    candidates = [
+        basis.element(basis.e, [pres.u * a for a in vec_mat(c, basis.mmat)])
+        for _, c in vectors
+    ]
+    candidates += [basis.element(w, c) for w, c in vectors]
     theta, rejected = basis.first_new_integral(candidates)
     if theta is None:
         raise UpdateCandidatesExhausted(
@@ -218,9 +216,11 @@ def lazy_hermite_reduce(f, basis: Optional[FieldBasis] = None):
 
     Returns a HermiteResult carrying the derivative part g, the normalized
     remainder h, the final (possibly enlarged) basis, and the integral
-    elements adjoined along the way.  Between steps the integrand stays in
-    the presentation (1/(u*v^d)) * numer*W; only a module update rebuilds
-    it, by presenting the current integrand over the enlarged basis.
+    elements the module updates adjoined.  Between steps the integrand
+    stays in the presentation (1/(u*v^d)) * numer*W; only a module update
+    rebuilds it, by presenting the current integrand over the enlarged
+    basis.  Every basis presented over is suitable (make_suitable), so
+    each presentation has gcd(u, v) = 1.
 
     Termination: a reduction step leaves a rest whose denominator divides
     u*v^(d-1), and every factor of u has multiplicity below d, so on an
@@ -228,8 +228,7 @@ def lazy_hermite_reduce(f, basis: Optional[FieldBasis] = None):
     adjoins an integral element outside the module, so the module grows
     inside the integral closure, which it can do only finitely often.
     """
-    if basis is None:
-        basis = initial_suitable_basis(f.curve)
+    basis = initial_suitable_basis(f.curve) if basis is None else make_suitable(basis)
     g_total = f.curve.zero()
     adjoined = []
     pres = present(f, basis)
@@ -241,20 +240,12 @@ def lazy_hermite_reduce(f, basis: Optional[FieldBasis] = None):
             )
         step = hermite_step(pres)
         if isinstance(step, StepDegenerate):
-            try:
-                theta = basis_update(step)
-            except UpdateCandidatesExhausted:
-                if step.outcome.solution is None:
-                    raise
-                # forced reduction with the particular solution of a
-                # solvable but underdetermined step
-                step = _apply_solution(pres, step.matrix, step.outcome)
-            else:
-                adjoined.append(theta)
-                basis = basis.enlarge([theta])
-                pres = present(pres.element(), basis)
-                last_d = None
-                continue
+            theta = basis_update(step)
+            adjoined.append(theta)
+            basis = make_suitable(basis.enlarge([theta]))
+            pres = present(pres.element(), basis)
+            last_d = None
+            continue
         g_total = g_total + step.g_part
         last_d = pres.d
         pres = _present(basis, step.rest_den, step.rest_numer)

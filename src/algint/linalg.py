@@ -203,16 +203,22 @@ class SolveLeaf:
     modulus: object
     status: str                 # "unique" | "underdetermined" | "inconsistent"
     solution: tuple | None      # row vector s with s*A = rhs mod modulus
-    kernel: tuple               # basis of row vectors c with c*A = 0 mod modulus
+    kernel: tuple               # basis of row vectors c with c*A = 0 mod modulus,
+                                # empty exactly when the leaf is unique
     cokernel: tuple             # basis of column vectors w with A*w = 0 mod modulus
     witness: tuple | None       # (w, residual): A*w = 0, rhs.w = residual != 0
+
+    def update_vectors(self):
+        """The vectors c that propose a module update (1/modulus) * c*W:
+        the row kernel, then the cokernel vectors not already in it."""
+        return self.kernel + tuple(w for w in self.cokernel if w not in self.kernel)
 
 
 @dataclass(frozen=True)
 class SolveOutcome:
-    status: str
-    solution: tuple | None      # defined when status != "inconsistent"
-    kernel: tuple               # kernel basis mod the full modulus
+    status: str                 # "inconsistent" if any leaf is, else
+                                # "underdetermined" if any leaf is, else "unique"
+    solution: tuple | None      # CRT of the leaf solutions unless inconsistent
     leaves: tuple
 
 
@@ -230,8 +236,16 @@ def solve_mod(a_mat, rhs, v, ring):
     n = len(rhs)
     if len(a_mat) != n or any(len(row) != n for row in a_mat):
         raise PreconditionError("system matrix must be square and match the rhs")
-    leaves = _solve_leaves(a_mat, rhs, v.monic(), ring)
-    return _combine_leaves(leaves, n, ring)
+    leaves = tuple(_solve_leaves(a_mat, rhs, v.monic(), ring))
+    if any(lf.status == "inconsistent" for lf in leaves):
+        return SolveOutcome("inconsistent", None, leaves)
+    status = "underdetermined" if any(lf.kernel for lf in leaves) else "unique"
+    if len(leaves) == 1:
+        return SolveOutcome(status, leaves[0].solution, leaves)
+    solution = tuple(
+        poly_crt([(lf.solution[j], lf.modulus) for lf in leaves])[0] for j in range(n)
+    )
+    return SolveOutcome(status, solution, leaves)
 
 
 def _solve_leaves(a_mat, rhs, v, ring):
@@ -270,6 +284,18 @@ def _solve_leaves(a_mat, rhs, v, ring):
             lmat[i] = [(x - f * y) % v for x, y in zip(lmat[i], lmat[piv])]
         pivot_of_col[col] = piv
         used_rows.add(piv)
+    # one row kernel vector per free column; fewer than n pivots (every
+    # leaf but a unique one) leave at least one
+    kernel = []
+    for col in range(n):
+        if col in pivot_of_col:
+            continue
+        vec = [ring.zero] * n
+        vec[col] = ring.one
+        for pc, piv in pivot_of_col.items():
+            vec[pc] = (-m[piv][col]) % v
+        kernel.append(tuple(vec))
+    kernel = tuple(kernel)
     # residual right-hand side: L*c
     lc = [_dot(lmat[i], c) % v for i in range(n)]
     cokernel = []
@@ -288,44 +314,10 @@ def _solve_leaves(a_mat, rhs, v, ring):
                 )
             witness = (tuple(lmat[i]), r)
             coker = tuple(tuple(lmat[j]) for j in range(n) if j not in used_rows)
-            return [SolveLeaf(v, "inconsistent", None, (), coker, witness)]
+            return [SolveLeaf(v, "inconsistent", None, kernel, coker, witness)]
         cokernel.append(tuple(lmat[i]))
     solution = [ring.zero] * n
     for col, piv in pivot_of_col.items():
         solution[col] = lc[piv]
-    kernel = []
-    for col in range(n):
-        if col in pivot_of_col:
-            continue
-        vec = [ring.zero] * n
-        vec[col] = ring.one
-        for pc, piv in pivot_of_col.items():
-            vec[pc] = (-m[piv][col]) % v
-        kernel.append(tuple(vec))
     status = "underdetermined" if kernel else "unique"
-    return [SolveLeaf(v, status, tuple(solution), tuple(kernel), tuple(cokernel), None)]
-
-
-def _combine_leaves(leaves, n, ring):
-    bad = [lf for lf in leaves if lf.status == "inconsistent"]
-    if bad:
-        return SolveOutcome("inconsistent", None, (), tuple(leaves))
-    if len(leaves) == 1:
-        lf = leaves[0]
-        return SolveOutcome(lf.status, lf.solution, lf.kernel, tuple(leaves))
-    solution = []
-    for j in range(n):
-        r, _ = poly_crt([(lf.solution[j], lf.modulus) for lf in leaves])
-        solution.append(r)
-    kernel = []
-    for lf in leaves:
-        for vec in lf.kernel:
-            ext = []
-            for j in range(n):
-                r, _ = poly_crt(
-                    [(vec[j] if other is lf else ring.zero, other.modulus) for other in leaves]
-                )
-                ext.append(r)
-            kernel.append(tuple(ext))
-    status = "underdetermined" if kernel else "unique"
-    return SolveOutcome(status, tuple(solution), tuple(kernel), tuple(leaves))
+    return [SolveLeaf(v, status, tuple(solution), kernel, tuple(cokernel), None)]

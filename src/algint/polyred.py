@@ -421,9 +421,9 @@ class AdditiveDecomp:
         return self.g if self.integrable else None
 
     def remainder_element(self):
-        xf = self.basis.curve.xfrac
-        part = self.basis.combine([xf.of(p, self.d) for p in self.p_nums])
-        return part + self.inf_basis.combine([xf.of(q, self.a) for q in self.q_nums])
+        return self.basis.element(self.d, self.p_nums) + self.inf_basis.element(
+            self.a, self.q_nums
+        )
 
 
 class Decomposer:
@@ -474,7 +474,6 @@ class Decomposer:
         suitable basis when None).  u and a depend on the final basis
         alone, so decompositions that end on one basis share u, a and the
         image complement."""
-        xf = self.curve.xfrac
         her = lazy_hermite_reduce(f, basis)
         w_basis = her.basis
         d, r, s = euclid_split(her.remainder)
@@ -482,7 +481,7 @@ class Decomposer:
         utilde = tuple(utilde_scale * p for p in vec_mat(s, cmat))
         p1, q2 = self.complement(u, a).reduce(utilde)
         inf = self.inf_basis
-        g = her.g_part + inf.combine([xf.of(p, u) for p in p1])
+        g = her.g_part + inf.element(u, p1)
         return AdditiveDecomp(
             g=g,
             basis=w_basis,

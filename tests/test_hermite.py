@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from algint.algfield import FieldBasis
+from algint.algfield import FieldBasis, initial_suitable_basis
 from algint import hermite
 from algint.errors import AlgintError, PreconditionError
 from algint.hermite import (
@@ -16,8 +16,8 @@ from algint.hermite import (
     lazy_hermite_reduce,
     present,
 )
-from algint.parsing import build_element
-from algint.rings import POLY_X_QQ, gcd, is_squarefree
+from algint.parsing import build_curve, build_element
+from algint.rings import QQ, POLY_X_QQ, gcd, is_squarefree
 
 from conftest import curve_elements, elem, module_equal, small_fractions
 
@@ -103,7 +103,7 @@ def test_unique_step_removes_a_pole_order(parabola):
     step = hermite_step(pres)
     assert step.rest_den == pres.u * pres.v ** (pres.d - 1)
     basis = bases["(x, x*y)"]
-    rest = hermite._element(basis, step.rest_den, step.rest_numer)
+    rest = basis.element(step.rest_den, step.rest_numer)
     assert f == step.g_part.dx() + rest
     rest_pres = present(rest, basis)
     assert rest_pres.d == 2  # one multiplicity peeled off
@@ -133,6 +133,80 @@ def test_inconsistent_update_adjoins_generator(parabola):
     enlarged = bases["(x, (x+1)*y)"].enlarge([theta])
     target = FieldBasis(parabola, (parabola.from_x(parabola.xfrac.gen), parabola.gen()))
     assert module_equal(enlarged, target)
+
+
+# degenerate steps on singular curves, each from the initial suitable basis
+DEGENERATE_STEPS = [
+    ("y^2 - x^2*(x + 1)", "y/x^2"),  # node, inconsistent
+    ("y^2 - x^2*(x + 1)", "1/x^2"),  # node, underdetermined
+    ("y^3 + x*y^2 + x^4", "y/x^2"),  # cubic, inconsistent
+    ("y^3 + x*y^2 + x^4", "1/x^2"),  # cubic, underdetermined
+    ("y^4 + x^2*y^3 + x^2*y - x^3", "y/x^2"),  # quartic, inconsistent
+    ("y^4 + x^2*y^3 + x^2*y - x^3", "y^3/x^3"),  # quartic, inconsistent
+]
+
+
+@pytest.mark.parametrize("curve_text, integrand", DEGENERATE_STEPS)
+def test_row_kernel_quotients_are_new_integral_elements(curve_text, integrand):
+    # Bronstein's lemma: c*A = 0 mod w makes (1/w) * c*W integral, and
+    # outside the module since c is nonzero mod w
+    curve = build_curve(curve_text, QQ)
+    basis = initial_suitable_basis(curve)
+    assert basis.e_squarefree
+    step = hermite_step(present(build_element(integrand, curve), basis))
+    assert isinstance(step, StepDegenerate)
+    degenerate = [leaf for leaf in step.outcome.leaves if leaf.status != "unique"]
+    assert degenerate
+    for leaf in degenerate:
+        assert leaf.kernel
+        for c in leaf.kernel:
+            theta = basis.element(leaf.modulus, c)
+            assert theta.is_integral()
+            assert not basis.member(theta)
+
+
+def test_quartic_update_is_certified():
+    # the step of y/x^2 on the quartic is inconsistent; its row kernel
+    # gives the update that the cokernel alone did not
+    curve = build_curve("y^4 + x^2*y^3 + x^2*y - x^3", QQ)
+    f = build_element("y/x^2", curve)
+    result = lazy_hermite_reduce(f)
+    assert len(result.adjoined) == 1
+    assert f == result.g_part.dx() + result.remainder.element()
+
+
+def test_every_presented_basis_is_suitable(monkeypatch):
+    # an update whose enlargement leaves e non-squarefree is repaired before
+    # the integrand is presented over it, so gcd(u, v) = 1 in every step
+    curve = build_curve("y^3 + x*y^2 + x^4", QQ)
+    breaking = build_element(
+        "((5/3*x + 2/27)/x^2)*y^2 + ((-10/9*x - 2/9)/x)*y - 7/27*x", curve
+    )
+    assert breaking.is_integral()
+    assert not initial_suitable_basis(curve).enlarge([breaking]).e_squarefree
+    real_update, real_present = hermite.basis_update, hermite._present
+    updates, presented = [], []
+
+    def first_update_breaks(step):
+        updates.append(step)
+        return breaking if len(updates) == 1 else real_update(step)
+
+    def recording_present(basis, q, numer):
+        pres = real_present(basis, q, numer)
+        presented.append(pres)
+        return pres
+
+    monkeypatch.setattr(hermite, "basis_update", first_update_breaks)
+    monkeypatch.setattr(hermite, "_present", recording_present)
+    f = build_element("y/x^2", curve)
+    result = lazy_hermite_reduce(f)
+    assert updates
+    assert result.adjoined[0] == breaking
+    assert all(pres.basis.e_squarefree for pres in presented)
+    for pres in presented:
+        if isinstance(pres, hermite.PolePresentation):
+            assert gcd(pres.u, pres.v) == R.one
+    assert f == result.g_part.dx() + result.remainder.element()
 
 
 # ---------------------------------------------------------------------------

@@ -154,9 +154,10 @@ def test_solve_mod_underdetermined_has_kernel():
     assert out.solution is not None
     assert not any(_residual(out.solution, a, rhs, v))
     if out.status == "underdetermined":
-        assert out.kernel
-        for k in out.kernel:
-            assert not any((x % v) for x in vec_mat(k, a))
+        assert any(leaf.kernel for leaf in out.leaves)
+    for leaf in out.leaves:
+        for k in leaf.kernel:
+            assert not any((x % leaf.modulus) for x in vec_mat(k, a))
 
 
 def test_solve_mod_inconsistent_witness():
@@ -170,6 +171,27 @@ def test_solve_mod_inconsistent_witness():
     assert leaf.cokernel
     w, residual = leaf.witness
     assert residual % v
+
+
+@pytest.mark.parametrize(
+    "v, a, rhs",
+    [
+        (P(0, 1), ((P(0, 1), R.zero), (R.zero, P(0, 1))), (R.one, R.zero)),
+        (P(-1, 0, 1), ((P(1, 1), R.zero), (R.one, R.one)), (P(0, 1), R.one)),
+        (P(-1, 0, 1), ((P(1, 1), P(1, 1)), (P(-1, 1), P(1, 0, 1))), (R.one, R.one)),
+    ],
+    ids=["zero-matrix", "mixed-leaves", "rank-one-on-a-factor"],
+)
+def test_inconsistent_leaves_carry_a_row_kernel(v, a, rhs):
+    out = solve_mod(a, rhs, v, R)
+    assert out.status == "inconsistent"
+    bad = [leaf for leaf in out.leaves if leaf.status == "inconsistent"]
+    assert bad
+    for leaf in bad:
+        assert leaf.kernel
+        for k in leaf.kernel:
+            assert any(k)
+            assert not any((x % leaf.modulus) for x in vec_mat(k, a))
 
 
 def test_solve_mod_rejects_bad_modulus():
@@ -192,7 +214,7 @@ def test_solve_mod_splits_on_zero_divisors():
     moduli = {str(leaf.modulus) for leaf in out.leaves}
     assert moduli == {"x - 1", "x + 1"}
     assert all(leaf.status == "underdetermined" for leaf in out.leaves)
-    assert out.kernel
+    assert all(leaf.kernel for leaf in out.leaves)
 
 
 @given(
@@ -207,9 +229,10 @@ def test_solve_mod_solution_and_certificates_check_out(rows, rhs):
     out = solve_mod(a, rhs, v, R)
     if out.solution is not None:
         assert not any(_residual(out.solution, a, rhs, v))
-    for k in out.kernel:
-        assert not any((c % v) for c in vec_mat(k, a))
     for leaf in out.leaves:
+        assert bool(leaf.kernel) == (leaf.status != "unique")
+        for k in leaf.kernel:
+            assert not any((c % leaf.modulus) for c in vec_mat(k, a))
         if leaf.status == "inconsistent":
             w, residual = leaf.witness
             # certificate: A*w = 0 mod the leaf modulus but rhs.w != 0

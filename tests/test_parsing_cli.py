@@ -61,6 +61,20 @@ def test_syntax_error_positions():
         assert f"offset {offset}" in str(err.value)
 
 
+@pytest.mark.parametrize(
+    "integrand, offset", [("x\u00b2*y", 1), ("\u0663*y", 0)],
+    ids=["superscript-two", "arabic-indic-three"],
+)
+def test_integer_literals_are_ascii_digits(parabola, capsys, integrand, offset):
+    with pytest.raises(ExprSyntaxError) as err:
+        build_element(integrand, parabola)
+    assert err.value.position == offset
+    assert f"unexpected character {integrand[offset]!r}" in str(err.value)
+    rc = main(["integrate", "--curve", "y^2 - x", "--integrand", integrand])
+    assert rc == 2
+    assert f"offset {offset}" in capsys.readouterr().err
+
+
 def test_unknown_variable_reports_name_and_position(parabola):
     with pytest.raises(UnknownVariable) as err:
         build_element("x + z*y", parabola)
@@ -282,6 +296,65 @@ def test_cli_verify_rejects_wrong_operator(capsys):
     assert "verified: no" in out
 
 
+def test_cli_verify_refuses_the_zero_operator(capsys):
+    rc = main([
+        "verify", "--curve", "y^2 - x - t", "--integrand", "y",
+        "--telescoper", "0", "--certificate", "0",
+    ])
+    assert rc == 0
+    assert "verified: no" in capsys.readouterr().out
+
+
+def test_cli_decompose_text_and_structured(capsys):
+    argv = ["decompose", "--curve", "y^2 - x", "--integrand", "y/(x^2*(x+1))"]
+    assert main(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:7] == [
+        "g = ((-2*x - 2)/x)*y",
+        "integrable: no",
+        "pole part: d = x + 1, coeffs = ['0', '1']",
+        "infinity part: a = x, coeffs = ['0', '0']",
+        "u = 1",
+        "basis: ['1', 'y']",
+        "infinity basis: ['1', '1/x*y']",
+    ]
+    assert lines[7].startswith("elapsed: ")
+    assert main(argv + ["--format", "structured"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["mode"] == "decompose"
+    assert doc["result"] == {
+        "g": "((-2*x - 2)/x)*y",
+        "integrable": False,
+        "pole_part": {"d": "x + 1", "coeffs": ["0", "1"]},
+        "infinity_part": {"a": "x", "coeffs": ["0", "0"]},
+        "u": "1",
+        "basis": ["1", "y"],
+        "infinity_basis": ["1", "1/x*y"],
+    }
+
+
+def test_cli_telescope_text(capsys):
+    rc = main(["telescope", "--curve", "y^2 - x*(x - 1)*(x - t)", "--integrand", "1/y"])
+    lines = capsys.readouterr().out.splitlines()
+    assert rc == 0
+    assert lines[:4] == [
+        "order: 2",
+        "L = (4*t^2 - 4*t)*Dt^2 + (8*t - 4)*Dt + 1",
+        "certificate = (-2/(x^2 - 2*t*x + t^2))*y",
+        "verified: yes",
+    ]
+
+
+def test_cli_quartic_update_integrates(capsys):
+    # the inconsistent step of y/x^2 needs the row kernel's update
+    rc = main([
+        "integrate", "--curve", "y^4 + x^2*y^3 + x^2*y - x^3", "--integrand", "y/x^2",
+    ])
+    captured = capsys.readouterr()
+    assert rc == 0, captured.err
+    assert "integrable: no" in captured.out
+
+
 def test_cli_reduce_text(capsys):
     rc = main(["reduce", "--curve", "y^2 - x", "--integrand", "y/(x^2*(x+1))"])
     out = capsys.readouterr().out
@@ -457,6 +530,43 @@ def test_corpus_cli_parallel_structured_deterministic(capsys, tmp_path):
     doc = json.loads(first)
     assert doc["schema"] == SCHEMA_CORPUS
     assert [e["name"] for e in doc["entries"]] == ["a", "b"]
+
+
+class _SerialPool:
+    """Stands in for ProcessPoolExecutor: records max_workers, maps in
+    process, starts nothing."""
+
+    made = []
+
+    def __init__(self, max_workers):
+        self.made.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return list(map(fn, items))
+
+
+@pytest.mark.parametrize(
+    "records, jobs, workers",
+    [(2, "500", [2]), (3, "2", [2]), (1, "4", []), (0, "2", [])],
+    ids=["capped-at-records", "below-records", "one-record-serial", "empty-serial"],
+)
+def test_corpus_jobs_bounded_by_records(monkeypatch, capsys, tmp_path, records, jobs, workers):
+    import concurrent.futures
+
+    monkeypatch.setattr(_SerialPool, "made", [])
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _SerialPool)
+    path = tmp_path / "few.jsonl"
+    record = {"curve": "y^2 - x", "integrand": "y/x^3"}
+    path.write_text("".join(json.dumps(record) + "\n" for _ in range(records)))
+    assert main(["corpus", str(path), "--jobs", jobs]) == 0
+    assert _SerialPool.made == workers
+    assert f"{records}/{records} ok" in capsys.readouterr().out
 
 
 def test_corpus_exit_nonzero_on_mismatch(capsys, tmp_path):

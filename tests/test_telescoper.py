@@ -12,6 +12,7 @@ from algint.rings import QQ, QT, T_POLY
 from algint.telescoper import (
     LedgerEntry,
     RemainderLedger,
+    _normalize_dependency,
     apply_telescoper,
     find_dependency,
     telescope,
@@ -94,8 +95,30 @@ def test_verify_telescoper_rejects_wrong_coefficients(legendre):
     assert not verify_telescoper(f, bad, tel.certificate)
 
 
+def test_verify_telescoper_refuses_the_zero_operator():
+    # the zero operator maps every integrand to 0 = dx(0)
+    curve = build_curve("y^2 - x - t", QT)
+    f = build_element("y", curve)
+    assert apply_telescoper(f, (qt(0),)) == curve.zero()
+    assert not verify_telescoper(f, (qt(0),), curve.zero())
+    assert not verify_telescoper(f, (qt(0), qt(0)), curve.zero())
+
+
 # ---------------------------------------------------------------------------
 # normalization and scaling behaviour
+
+@pytest.mark.parametrize(
+    "vec, expected",
+    [
+        ((qt(2), qt(-4)), ((-1,), (2,))),  # content 2 and a negative last lead
+        ((qt(1, 1), qt(0, 3)), ((1, 1), (0, 3))),  # already normalized
+        ((QT.of(tpoly(1), tpoly(0, 2)), qt(-3)), ((-1,), (0, 6))),
+    ],
+    ids=["content-and-sign", "unchanged", "denominators"],
+)
+def test_normalize_dependency_content_and_sign(vec, expected):
+    got = _normalize_dependency(vec)
+    assert got == tuple(qt(*c) for c in expected)
 
 def test_coefficients_are_t_polynomial_and_primitive(legendre):
     f = build_element("1/y", legendre)
