@@ -22,7 +22,7 @@ from .errors import (
     RankDeficient,
     SuitabilityFailure,
 )
-from .linalg import det, hnf_rows, inverse, mat, mat_mul, solve_mod, vec_mat
+from .linalg import det, hnf_rows, inverse, mat, mat_mul, vec_mat
 from .rings import (
     QT,
     Poly,
@@ -355,31 +355,9 @@ class FieldBasis:
         """K(x)-coordinates of f with respect to this basis."""
         return vec_mat(f.coords(), self.trans_inv)
 
-    def member_coords(self, f):
-        """Polynomial coordinates if f lies in the K[x]-module, else None."""
-        coords = self.coords_of(f)
-        if all(c.is_polynomial for c in coords):
-            return tuple(c.as_poly() for c in coords)
-        return None
-
     def member(self, f):
-        return self.member_coords(f) is not None
-
-    def first_new_integral(self, candidates):
-        """The first candidate that is nonzero, integral and outside this
-        module, or None, together with the (text, reason) of each candidate
-        rejected before it."""
-        rejected = []
-        for theta in candidates:
-            if not theta:
-                continue
-            if not theta.is_integral():
-                rejected.append((str(theta), "not integral"))
-            elif self.member(theta):
-                rejected.append((str(theta), "already in module"))
-            else:
-                return theta, rejected
-        return None, rejected
+        """Whether f lies in the K[x]-module spanned by this basis."""
+        return all(c.is_polynomial for c in self.coords_of(f))
 
     def combine(self, coeffs):
         """Linear combination sum(coeffs[i] * w_i) as a field element."""
@@ -441,31 +419,19 @@ def make_suitable(basis):
 def _repair_suitability(basis):
     """One certified module enlargement for a basis with non-squarefree e.
 
-    Candidates, tried in a fixed order: (e/p) * w_i' = (1/p) * M_i*W for
-    each basis element, then (1/w) * c*W for the update vectors c of each
-    leaf of the solve of c*M = 0 mod p (SolveLeaf.update_vectors), with w
-    the leaf modulus, where p runs over the repeated factors of e.  Each
-    candidate must pass the integrality oracle and lie outside the current
-    module.
+    The lemma: for p squarefree and w integral, p*w' is integral, since at
+    a place of ramification index r over a root of p, p has valuation r and
+    w' at least 1 - r.  So if p^2 divides e, then
+    (e/p) * w_i' = (e/p^2) * (p*w_i') = (1/p) * M_i*W is integral.  Since e
+    is the least common denominator, some row M_i of M is not 0 mod p, and
+    for it the element lies outside the module.  The element adjoined takes
+    p the first repeated factor of e by (degree, str) and M_i the first
+    such row; the integrality oracle checks it once.
     """
-    cur = basis.curve
     _, factors = squarefree_decomposition(basis.e)
-    repeated = sorted(
-        (p for p, mult in factors if mult >= 2), key=lambda p: (p.degree, str(p))
-    )
-    tried = []
-    for p in repeated:
-        outcome = solve_mod(
-            basis.mmat, (cur.xring.zero,) * cur.n, p, cur.xring
-        )
-        candidates = [basis.element(p, row) for row in basis.mmat]
-        candidates += [
-            basis.element(leaf.modulus, c)
-            for leaf in outcome.leaves
-            for c in leaf.update_vectors()
-        ]
-        theta, rejected = basis.first_new_integral(candidates)
-        tried.extend(rejected)
-        if theta is not None:
-            return basis.enlarge([theta])
-    raise SuitabilityFailure(f"no certified enlargement; rejected: {tried}")
+    p = min((p for p, mult in factors if mult >= 2), key=lambda p: (p.degree, str(p)))
+    row = next(row for row in basis.mmat if any(a % p for a in row))
+    theta = basis.element(p, row)
+    if not theta.is_integral() or basis.member(theta):
+        raise SuitabilityFailure(f"the quotient {theta} is not certified")
+    return basis.enlarge([theta])

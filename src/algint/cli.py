@@ -6,8 +6,8 @@ verify (recheck a telescoper/certificate pair), corpus (run a JSONL problem
 file, optionally in parallel).
 
 Exit codes: 0 success, 2 expression syntax errors, 3 domain and
-precondition violations, 4 certified-search failures (no suitable basis or
-no update candidate), 5 telescoping order cap exceeded.
+precondition violations, 4 certified-enlargement failures (no suitable basis
+or no certified update), 5 telescoping order cap exceeded.
 
 Structured output is JSON with sorted keys and no timing data, so repeated
 runs are byte-identical; text output is free to include timings.

@@ -33,7 +33,7 @@ class CurveReducible(AlgintError):
 
 
 class SuitabilityFailure(AlgintError):
-    """No candidate enlargement repaired a basis with repeated denominator roots."""
+    """A certified enlargement of a basis, finite or at infinity, failed."""
 
     def __init__(self, detail):
         super().__init__(f"could not repair basis: {detail}")
@@ -44,7 +44,7 @@ class UpdateCandidatesExhausted(AlgintError):
     """A degenerate reduction step produced no certified new integral element."""
 
     def __init__(self, detail):
-        super().__init__(f"no basis update candidate was certified: {detail}")
+        super().__init__(f"no basis update was certified: {detail}")
         self.detail = detail
 
 

@@ -6,10 +6,10 @@ denominator e is squarefree.  The integrand is kept as
 step removes one order from the repeated pole v by solving the row system
 b*A = numer mod v with A = (uv/e)*M - (d-1)*u*v'*I.  When A is singular
 modulo a factor w of v, Bronstein's lemma turns every row vector c with
-c*A = 0 mod w into an integral element (1/w) * c*W outside the module
-(basis_update).  The module is enlarged by one certified element, made
-suitable again (algfield.make_suitable), and the integrand is presented
-anew over it.
+c*A = 0 mod w and c nonzero mod w into an integral element (1/w) * c*W
+outside the module (basis_update).  The module is enlarged by that one
+element for the first row kernel vector of the solve, made suitable again
+(algfield.make_suitable), and the integrand is presented anew over it.
 
 The reduction never computes an integral basis.  Degenerate steps and the
 suitability repairs after them are the only module enlargements; each
@@ -131,7 +131,7 @@ def hermite_step(pres):
         f - g' = (1/(u*v^(d-1))) * ((numer - u*v*b' - b*A)/v)*W.
 
     A degenerate system is returned with its solve outcome, whose leaves
-    carry the vectors basis_update draws its candidates from.
+    carry the row kernels basis_update takes its element from.
     """
     basis = pres.basis
     ring = basis.curve.xring
@@ -163,8 +163,8 @@ def hermite_step(pres):
 
 
 def basis_update(step):
-    """Certified integral element outside the current module, derived from a
-    degenerate step.
+    """The integral element outside the current module that Bronstein's
+    lemma certifies for a degenerate step.
 
     The lemma (Bronstein, lazy Hermite reduction, INRIA RR-3562, 1998).  Let
     w be a factor of v, c a row vector with c*A = 0 mod w, and
@@ -179,35 +179,18 @@ def basis_update(step):
     (1/w) * c*W = g * v^(d-1)/w is integral.  It lies outside the module
     whenever c is nonzero mod w.
 
-    Candidates come from the degenerate leaves of the solve: the
-    inconsistent leaves of an inconsistent system, else the underdetermined
-    ones, each with the vectors c of SolveLeaf.update_vectors (row kernel,
-    then cokernel).  First the derived u * c*W' = (u/e) * (c*M)*W for every
-    vector, then the quotients (1/w) * c*W with w the leaf modulus.  A
-    degenerate leaf has a nonempty row kernel, so by the lemma some
-    quotient is certified.  Every candidate still has to pass the
-    integrality oracle and lie outside the module; UpdateCandidatesExhausted
-    guards against a failure of that argument.
+    The element adjoined is (1/w) * c*W for the first leaf of the solve with
+    the status of the whole solve (inconsistent if any leaf is, else
+    underdetermined), w its modulus and c the first vector of its row
+    kernel, which has a 1 in a free column and so is nonzero mod w.  The
+    integrality oracle checks it once; UpdateCandidatesExhausted guards the
+    argument.
     """
-    pres = step.presentation
-    basis = pres.basis
-    wanted = "inconsistent" if step.outcome.status == "inconsistent" else "underdetermined"
-    vectors = [
-        (leaf.modulus, c)
-        for leaf in step.outcome.leaves
-        if leaf.status == wanted
-        for c in leaf.update_vectors()
-    ]
-    candidates = [
-        basis.element(basis.e, [pres.u * a for a in vec_mat(c, basis.mmat)])
-        for _, c in vectors
-    ]
-    candidates += [basis.element(w, c) for w, c in vectors]
-    theta, rejected = basis.first_new_integral(candidates)
-    if theta is None:
-        raise UpdateCandidatesExhausted(
-            f"no candidate certified from {len(candidates)} tried: {rejected}"
-        )
+    basis, outcome = step.presentation.basis, step.outcome
+    leaf = next(leaf for leaf in outcome.leaves if leaf.status == outcome.status)
+    theta = basis.element(leaf.modulus, leaf.kernel[0])
+    if not theta.is_integral() or basis.member(theta):
+        raise UpdateCandidatesExhausted(f"the kernel quotient {theta} is not certified")
     return theta
 
 

@@ -198,20 +198,17 @@ def hnf_rows(rows, ring):
 
 @dataclass(frozen=True)
 class SolveLeaf:
-    """Outcome of elimination modulo one discovered factor of the modulus."""
+    """Outcome of elimination modulo one discovered factor of the modulus.
+    A leaf that is not unique has a nonempty row kernel; for a Hermite step
+    each kernel vector c gives the integral element (1/modulus) * c*W
+    outside the module, by Bronstein's lemma (hermite.basis_update)."""
 
     modulus: object
     status: str                 # "unique" | "underdetermined" | "inconsistent"
     solution: tuple | None      # row vector s with s*A = rhs mod modulus
     kernel: tuple               # basis of row vectors c with c*A = 0 mod modulus,
                                 # empty exactly when the leaf is unique
-    cokernel: tuple             # basis of column vectors w with A*w = 0 mod modulus
     witness: tuple | None       # (w, residual): A*w = 0, rhs.w = residual != 0
-
-    def update_vectors(self):
-        """The vectors c that propose a module update (1/modulus) * c*W:
-        the row kernel, then the cokernel vectors not already in it."""
-        return self.kernel + tuple(w for w in self.cokernel if w not in self.kernel)
 
 
 @dataclass(frozen=True)
@@ -298,7 +295,6 @@ def _solve_leaves(a_mat, rhs, v, ring):
     kernel = tuple(kernel)
     # residual right-hand side: L*c
     lc = [_dot(lmat[i], c) % v for i in range(n)]
-    cokernel = []
     for i in range(n):
         if i in used_rows:
             continue
@@ -312,12 +308,9 @@ def _solve_leaves(a_mat, rhs, v, ring):
                 return _solve_leaves(a_mat, rhs, w1.monic(), ring) + _solve_leaves(
                     a_mat, rhs, w2.monic(), ring
                 )
-            witness = (tuple(lmat[i]), r)
-            coker = tuple(tuple(lmat[j]) for j in range(n) if j not in used_rows)
-            return [SolveLeaf(v, "inconsistent", None, kernel, coker, witness)]
-        cokernel.append(tuple(lmat[i]))
+            return [SolveLeaf(v, "inconsistent", None, kernel, (tuple(lmat[i]), r))]
     solution = [ring.zero] * n
     for col, piv in pivot_of_col.items():
         solution[col] = lc[piv]
     status = "underdetermined" if kernel else "unique"
-    return [SolveLeaf(v, status, tuple(solution), kernel, tuple(cokernel), None)]
+    return [SolveLeaf(v, status, tuple(solution), kernel, None)]

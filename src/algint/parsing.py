@@ -7,14 +7,18 @@ Grammar (whitespace-insensitive):
     factor := '-' factor | atom ('^' ['-'] INT)*
     atom   := INT | NAME | '(' expr ')'
 
+'^' binds tighter than unary minus, also in an exponent, and associates
+rightward: x^2^3 is x^8 and x^-2^2 is x^-4.
+
 Names are maximal letter runs; only x, y and (over QQ(t)) t are defined.
 Error positions are 0-based character offsets.  A binary operator with a
 missing right operand reports the operator's own position.  Parentheses and
 unary minus signs may nest at most MAX_NESTING deep, so that the recursive
-descent stays far from the interpreter's recursion limit.  An exponent may
-be at most MAX_EXPONENT in size, so that a short input cannot run for
-minutes, and an integer literal at most as long as the interpreter converts
-to int (sys.get_int_max_str_digits(), 4300 digits by default).
+descent stays far from the interpreter's recursion limit.  An exponent, and
+the value of a chain of them, may be at most MAX_EXPONENT in size, so that
+a short input cannot run for minutes, and an integer literal at most as
+long as the interpreter converts to int (sys.get_int_max_str_digits(), 4300
+digits by default).
 
 The same parser serves both jobs: curves evaluate in the fraction field of
 K(x)[y] (the denominator must be free of y), integrands evaluate directly
@@ -179,6 +183,7 @@ class _Parser:
             self.depth -= 1
             return value
         value = self.atom()
+        chain = []  # (sign, literal, position) of each exponent, left to right
         while self._peek().kind == "op" and self._peek().value == "^":
             op = self._next()
             sign = 1
@@ -195,8 +200,18 @@ class _Parser:
                     f"exponent exceeds {MAX_EXPONENT}", exp.pos
                 )
             self._next()
-            value = value ** (sign * exp.value)
-        return value
+            chain.append((sign, exp.value, exp.pos))
+        # '^' associates rightward; folding from the right keeps every
+        # partial exponent within MAX_EXPONENT, so no power above 100^100
+        power = 1
+        for sign, base, pos in reversed(chain):
+            if power < 0 and base != 1:
+                raise ExprSyntaxError("'^' requires an integer exponent", pos)
+            power = base ** abs(power)
+            if power > MAX_EXPONENT:
+                raise ExprSyntaxError(f"exponent exceeds {MAX_EXPONENT}", pos)
+            power *= sign
+        return value ** power if chain else value
 
     def atom(self):
         tok = self._next()

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from .algfield import AlgElem, FieldBasis, discriminant, scaled_powers
 from .errors import AlgintError, SuitabilityFailure
 from .hermite import lazy_hermite_reduce
-from .linalg import hnf_rows, nullspace, transpose, vec_mat
+from .linalg import hnf_rows, vec_mat
 from .rings import Poly, common_denominator, invert_mod, lcm_many, square_part_root
 
 
@@ -80,33 +80,27 @@ def suitable_at_infinity(curve):
 def _repair_at_infinity(vb):
     """One certified enlargement of the local module at infinity.
 
-    With k the pole order of the derivation matrix at infinity, candidates
-    are x^(3-k)/a * B_i*V (the scaled derivatives of the basis elements)
-    and x * c*V for constant vectors c killing the top-degree part of B.
-    Each is taken by its V-coordinates; the element itself is built only
-    for the integrality oracle.
+    The lemma: x*v' is integral at infinity for v integral there, since the
+    derivation x*d/dx keeps the local ring at infinity.  With a*V' = B*V,
+    top the largest degree in B and k = 2 + top - deg a >= 2 (V is not yet
+    suitable), x^(3-k)*v_i' = x^(2-k) * (x*v_i') is integral at infinity,
+    and its V-coordinates x^(3-k)/a * B_i have valuation -1 exactly where
+    B_i has an entry of degree top, so that element lies outside the local
+    module.  The element adjoined takes B_i the first row of B with an
+    entry of the top degree; it is built only for the integrality oracle,
+    which checks it once, and enlarged by its V-coordinates.
     """
-    cur = vb.curve
     a = vb.e
-    bmat = vb.mmat
-    top = _max_deg(bmat)
+    top = _max_deg(vb.mmat)
     k = 2 + top - a.degree
-    xf = cur.xfrac
+    xf = vb.curve.xfrac
     scale = xf.gen ** (3 - k) / xf.of(a)
-    candidates = [[scale * xf.of(p) for p in row] for row in bmat]
-    field_k = cur.field
-    btop = tuple(tuple(p.coeff(top) for p in row) for row in bmat)
-    vectors = list(nullspace(transpose(btop), field_k))
-    for v in nullspace(btop, field_k):
-        if v not in vectors:
-            vectors.append(v)
-    candidates += [[xf.gen * c for c in v] for v in vectors]
-    for coords in candidates:
-        if all(_val_inf(c) >= 0 for c in coords):
-            continue
-        if vb.combine(coords).is_integral_at_infinity():
-            return _dvr_enlarge(vb, coords)
-    raise SuitabilityFailure("no certified enlargement at infinity")
+    row = next(row for row in vb.mmat if any(p.degree == top for p in row))
+    coords = [scale * xf.of(p) for p in row]
+    outside = any(_val_inf(c) < 0 for c in coords)
+    if not outside or not vb.combine(coords).is_integral_at_infinity():
+        raise SuitabilityFailure("the scaled derivative is not certified")
+    return _dvr_enlarge(vb, coords)
 
 
 def _dvr_enlarge(vb, coords):

@@ -174,3 +174,26 @@ def complement_is_final(comp, extra=24):
             if any(p.coeff(d) and (d, i) not in before for d in range(p.degree + 1)):
                 return False
     return True
+
+
+# Curves whose start bases need repairs: the power basis of the first two has
+# a non-squarefree e, and the start at infinity of the last two is not
+# suitable.  The last one is a seeded random quartic.
+REPAIR_CUBIC = "y^3 + x*y^2 + x^4"
+REPAIR_QUARTIC = "y^4 + x^2*y^3 + x^2*y - x^3"
+RANDOM_QUARTIC = (
+    "x^3*y^3 + 2*x^3 - x^2*y^3 + 2*x^2 + 2*x*y - x + y^4 - y^3 - y^2 + 2*y + 1"
+)
+
+
+def count_calls(monkeypatch, counts, owner, name, key=None):
+    """Replace owner.name by a wrapper that counts its calls in counts[key]."""
+    key = key or name
+    counts.setdefault(key, 0)
+    real = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        counts[key] += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)

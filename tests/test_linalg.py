@@ -168,7 +168,6 @@ def test_solve_mod_inconsistent_witness():
     assert out.status == "inconsistent"
     leaf = out.leaves[0]
     assert leaf.status == "inconsistent"
-    assert leaf.cokernel
     w, residual = leaf.witness
     assert residual % v
 

@@ -5,6 +5,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -457,6 +458,37 @@ def test_exponent_bound_admits_the_bound_itself(parabola):
     assert build_element(f"x^-{MAX_EXPONENT}", parabola) * build_element(
         f"x^{MAX_EXPONENT}", parabola
     ) == parabola.one()
+
+
+def test_chained_powers_associate_rightward(parabola):
+    assert build_element("x^2^3", parabola) == build_element("x^8", parabola)
+    assert build_element("x^2^2^2", parabola) == build_element("x^16", parabola)
+    # '^' binds tighter than the minus of an exponent: x^-(2^2)
+    assert build_element("x^-2^2", parabola) == build_element("1/x^4", parabola)
+    assert build_element("x^10^2", parabola) == build_element(f"x^{MAX_EXPONENT}", parabola)
+
+
+@pytest.mark.parametrize(
+    "integrand, offset, message",
+    [
+        ("x^100^100", 2, "exponent exceeds 100"),
+        ("x^2^7", 2, "exponent exceeds 100"),
+        ("x^2^-1", 2, "'^' requires an integer exponent"),
+    ],
+    ids=["tower", "just-over", "fractional"],
+)
+def test_chained_power_bounds_are_syntax_errors(parabola, capsys, integrand, offset, message):
+    # the chain is bounded as it is evaluated, so x^100^100 fails at once
+    # instead of building x^10000
+    start = time.perf_counter()
+    with pytest.raises(ExprSyntaxError) as err:
+        build_element(integrand, parabola)
+    assert time.perf_counter() - start < 1.0
+    assert err.value.position == offset
+    assert message in str(err.value)
+    rc = main(["integrate", "--curve", "y^2 - x", "--integrand", integrand])
+    assert rc == 2
+    assert message in capsys.readouterr().err
 
 
 def test_corpus_line_that_is_not_json_is_an_error_record(capsys, tmp_path):
