@@ -1,11 +1,13 @@
 """The algebraic function field A = K(x)[y]/<m> and its bases.
 
 Elements are polynomials in y of degree < n with coefficients in K(x),
-reduced against the monic defining polynomial.  The curve caches y' per
-derivation.  A quadratic m, or a binomial y^n - p, is refuted at
-construction when it factors; otherwise irreducibility of m is assumed, not
-checked: any inversion that stumbles over a zero divisor raises
-CurveReducible with the discovered factor.
+reduced against the monic defining polynomial.  K(x) acts on A by scaling:
+a product with a y-free factor scales the other factor's coefficients, and
+a nonzero y-free element inverts in K(x), so neither takes a product mod m
+or an extended gcd.  The curve caches y' per derivation.  A quadratic m, or
+a binomial y^n - p, is refuted at construction when it factors; otherwise
+irreducibility of m is assumed, not checked: any inversion that stumbles
+over a zero divisor raises CurveReducible with the discovered factor.
 
 A FieldBasis carries a K(x)-basis W of A together with the derivation data
 (e, M) satisfying e*W' = M*W, where e is the monic least common denominator.
@@ -147,7 +149,11 @@ def _dt_coeff(c):
 
 
 class AlgElem:
-    """Element of A, reduced mod m.  Immutable."""
+    """Element of A, reduced mod m.  Immutable.
+
+    An element of y-degree <= 0 is a scalar of K(x): multiplying by it
+    scales coefficients, and its inverse is 1/c in K(x).
+    """
 
     __slots__ = ("curve", "poly")
 
@@ -207,11 +213,18 @@ class AlgElem:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return AlgElem(self.curve, (self.poly * other.poly) % self.curve.m)
+        a, b = self.poly, other.poly
+        if b.degree <= 0:
+            return AlgElem(self.curve, a.scale(b.constant_term()))
+        if a.degree <= 0:
+            return AlgElem(self.curve, b.scale(a.constant_term()))
+        return AlgElem(self.curve, (a * b) % self.curve.m)
 
     __rmul__ = __mul__
 
     def inv(self):
+        if self.poly.degree == 0:
+            return self.curve.from_x(1 / self.poly.coeffs[0])
         return AlgElem(self.curve, self.curve._inv_ypoly(self.poly))
 
     def __truediv__(self, other):

@@ -21,8 +21,11 @@ long as the interpreter converts to int (sys.get_int_max_str_digits(), 4300
 digits by default).
 
 The same parser serves both jobs: curves evaluate in the fraction field of
-K(x)[y] (the denominator must be free of y), integrands evaluate directly
-in the function field of an already-built curve.
+K(x)[y] (the denominator must be free of y).  Integrands bind x, t and
+integer literals in K(x), so their y-free subterms are evaluated there and
+lifted into the function field of an already-built curve once, when they
+meet y.  A zero divisor raises DomainError: "division by zero" in a curve,
+"inversion of zero" in an integrand, as the function field itself reports.
 """
 
 from __future__ import annotations
@@ -38,6 +41,7 @@ from .rings import (
     FracField,
     Poly,
     PolyRing,
+    RatFunc,
     common_denominator,
     gcd,
     x_frac_field,
@@ -111,11 +115,12 @@ def uses_t(text):
 
 
 class _Parser:
-    def __init__(self, tokens, names, from_int):
+    def __init__(self, tokens, names, from_int, zero_message):
         self.toks = tokens
         self.i = 0
         self.names = names
         self.from_int = from_int
+        self.zero_message = zero_message
         self.depth = 0
 
     def _peek(self):
@@ -166,11 +171,10 @@ class _Parser:
             rhs = self.factor()
             if op.value == "*":
                 value = value * rhs
+            elif not rhs:
+                raise DomainError(self.zero_message)
             else:
-                try:
-                    value = value / rhs
-                except ZeroDivisionError:
-                    raise DomainError("division by zero in expression")
+                value = value / rhs
         return value
 
     def factor(self):
@@ -211,6 +215,8 @@ class _Parser:
             if power > MAX_EXPONENT:
                 raise ExprSyntaxError(f"exponent exceeds {MAX_EXPONENT}", pos)
             power *= sign
+        if power < 0 and not value:
+            raise DomainError(self.zero_message)
         return value ** power if chain else value
 
     def atom(self):
@@ -233,10 +239,10 @@ class _Parser:
         raise ExprSyntaxError("expected a value", tok.pos)
 
 
-def parse_expression(text, names, from_int):
+def parse_expression(text, names, from_int, zero_message="division by zero"):
     """Evaluate text over the given name bindings; any value type with
     field operators works."""
-    return _Parser(tokenize(text), names, from_int).parse()
+    return _Parser(tokenize(text), names, from_int, zero_message).parse()
 
 
 def build_curve(text, const_field):
@@ -271,17 +277,12 @@ def build_curve(text, const_field):
 
 def build_element(text, curve):
     """Parse an integrand over an existing curve into a field element."""
-    names = {
-        "x": curve.from_x(curve.xfrac.of(curve.xring.gen)),
-        "y": curve.gen(),
-    }
+    xfrac = curve.xfrac
+    names = {"x": xfrac.gen, "y": curve.gen()}
     if curve.field == QT:
-        names["t"] = curve.from_x(
-            curve.xfrac.of(curve.xring.from_coeff(QT.of(T_POLY.gen)))
-        )
-    return parse_expression(
-        text, names, lambda k: curve.from_x(curve.xfrac.from_int(k))
-    )
+        names["t"] = xfrac.coerce(QT.gen)
+    value = parse_expression(text, names, xfrac.from_int, "inversion of zero")
+    return curve.from_x(value) if isinstance(value, RatFunc) else value
 
 
 def field_for(texts, force_t=False):

@@ -360,10 +360,13 @@ class FracField:
         return RatFunc(self, self.ring.from_int(n), self.ring.one)
 
     def coerce(self, v):
+        """v as an element of this field; integers and elements of the
+        coefficient field lift as constants."""
         if isinstance(v, RatFunc):
             if v.field == self:
                 return v
-            raise DomainError(f"fraction from {v.field!r} used in {self!r}")
+            if v.field != self.ring.coeff:
+                raise DomainError(f"fraction from {v.field!r} used in {self!r}")
         return RatFunc(self, self.ring.coerce(v), self.ring.one)
 
     def __eq__(self, other):

@@ -84,10 +84,6 @@ class Telescoper:
     ranks: tuple
 
 
-def _const(curve, c):
-    return curve.from_x(curve.xfrac.of(curve.xring.from_coeff(c)))
-
-
 def _dependency_matrix(entries):
     curve = entries[0].h_elem.curve
     _, nums = common_denominator([en.h_elem.coords() for en in entries])
@@ -140,13 +136,12 @@ def _normalize_dependency(vec):
 
 def apply_telescoper(f, coeffs):
     """sum(coeffs[i] * D_t^i f)."""
-    cur = f.curve
-    acc = cur.zero()
+    acc = f.curve.zero()
     df = f
     for i, c in enumerate(coeffs):
         if i > 0:
             df = df.dt()
-        acc = acc + _const(cur, c) * df
+        acc = acc + c * df
     return acc
 
 
@@ -177,7 +172,7 @@ def telescope(f, max_order=20):
         if coeffs is not None:
             cert = f.curve.zero()
             for c, entry in zip(coeffs, ledger.entries):
-                cert = cert + _const(f.curve, c) * entry.gamma
+                cert = cert + c * entry.gamma
             if not verify_telescoper(f, coeffs, cert):
                 raise AlgintError("telescoper failed its final verification")
             return Telescoper(

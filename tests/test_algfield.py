@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from algint.algfield import (
+    AlgElem,
     Curve,
     FieldBasis,
     discriminant,
@@ -14,9 +15,16 @@ from algint.algfield import (
 )
 from algint.errors import CurveReducible, DomainError, PreconditionError, RankDeficient
 from algint.parsing import build_curve, build_element
-from algint.rings import QQ, QT, POLY_X_QQ, RAT_X_QQ, PolyRing, is_squarefree
+from algint.rings import QQ, QT, POLY_X_QQ, RAT_X_QQ, T_POLY, PolyRing, is_squarefree
 
-from conftest import curve_elements, elem, module_equal, polys_over_qq, small_fractions
+from conftest import (
+    count_calls,
+    curve_elements,
+    elem,
+    module_equal,
+    polys_over_qq,
+    small_fractions,
+)
 
 R = POLY_X_QQ
 
@@ -53,6 +61,56 @@ def test_inverse_of_generator(parabola):
 def test_zero_division_rejected(parabola):
     with pytest.raises(DomainError):
         parabola.zero().inv()
+
+
+def _constants(field):
+    """Small elements of the coefficient field: Q, or Q(t) with a
+    denominator t + c."""
+    if field == QQ:
+        return small_fractions
+    return st.builds(
+        lambda a, b, c: QT.of(T_POLY.poly([a, b]), T_POLY.poly([c, 1])),
+        small_fractions, small_fractions, small_fractions,
+    )
+
+
+def _x_fractions(curve):
+    polys = st.lists(_constants(curve.field), min_size=1, max_size=3).map(
+        curve.xring.poly
+    )
+    return st.builds(curve.xfrac.of, polys, polys.filter(bool))
+
+
+@pytest.mark.parametrize("name", ["parabola", "trefoil", "legendre"])
+@given(st.data())
+def test_y_free_factors_act_by_scaling(request, name, data):
+    curve = request.getfixturevalue(name)
+    a = curve.from_coords([data.draw(_x_fractions(curve)) for _ in range(curve.n)])
+    c = data.draw(st.one_of(_constants(curve.field), _x_fractions(curve)))
+    s = curve.from_x(c)
+    product = AlgElem(curve, (a.poly * s.poly) % curve.m)
+    assert a * s == s * a == product
+    assert a * c == c * a == product
+    if s:
+        assert s.inv() * s == curve.one()
+        assert (a / s) * s == a
+        assert (a / c) * c == a
+    else:
+        with pytest.raises(DomainError, match="inversion of zero"):
+            s.inv()
+
+
+@pytest.mark.parametrize(
+    "text, calls",
+    [("(3)/(x - 2)^3*y + (2*x)*y/(2*(x^3 - x))", 0), ("x/(x - 1) + 1/y", 1)],
+)
+def test_only_y_bearing_divisors_take_an_extended_gcd(
+    monkeypatch, trefoil, text, calls
+):
+    counts = {}
+    count_calls(monkeypatch, counts, Curve, "_inv_ypoly")
+    build_element(text, trefoil)
+    assert counts["_inv_ypoly"] == calls
 
 
 def test_reducible_curve_detected_on_inversion():

@@ -10,6 +10,7 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from algint.algfield import AlgElem
 from algint.cli import SCHEMA_CORPUS, SCHEMA_RESULT, main, run_record
 from algint.errors import (
     DomainError,
@@ -39,6 +40,18 @@ def test_precedence_and_associativity(parabola):
 
 def test_negative_exponents(parabola):
     assert build_element("x^-2", parabola) == build_element("1/x^2", parabola)
+
+
+def test_y_free_integrands_are_field_elements(parabola, legendre):
+    xf = parabola.xfrac
+    for text, value in (("1", xf.one), ("x^-2", xf.of(R.one, R.gen**2))):
+        f = build_element(text, parabola)
+        assert isinstance(f, AlgElem)
+        assert f == parabola.from_x(value)
+    f = build_element("t/(x-1)", legendre)
+    xr = legendre.xring
+    assert isinstance(f, AlgElem)
+    assert f == legendre.from_x(legendre.xfrac.of(xr.from_coeff(QT.gen), xr.gen - 1))
 
 
 def test_unary_minus(parabola):
@@ -161,6 +174,31 @@ def test_cli_syntax_error_exit_code(capsys):
 def test_cli_domain_error_exit_code(capsys):
     rc = main(["integrate", "--curve", "x^2 - 1", "--integrand", "x"])
     assert rc == 3
+
+
+@pytest.mark.parametrize(
+    "integrand", ["1/(x-x)", "(x-x)^-1", "0^-1", "y/(x-x)", "t/(x-x)"]
+)
+def test_zero_divisor_is_an_inversion_of_zero(capsys, tmp_path, integrand):
+    # y-free divisors are evaluated in K(x) but report as the field does
+    rc = main(["integrate", "--curve", "y^2 - x", "--integrand", integrand])
+    assert rc == 3
+    assert "DomainError: inversion of zero" in capsys.readouterr().err.splitlines()
+    path = tmp_path / "zero.jsonl"
+    path.write_text(
+        json.dumps({"name": "zero", "curve": "y^2 - x", "integrand": integrand})
+        + "\n"
+    )
+    assert main(["corpus", str(path), "--format", "structured"]) == 1
+    (entry,) = json.loads(capsys.readouterr().out)["entries"]
+    assert entry["status"] == "error"
+    assert entry["error"] == "DomainError: inversion of zero"
+
+
+@pytest.mark.parametrize("curve", ["y^2 - 1/(x-x)", "y^2 - (x-x)^-1", "y^2 - x/(y-y)"])
+def test_zero_divisor_in_a_curve_is_a_division_by_zero(curve):
+    with pytest.raises(DomainError, match="^division by zero$"):
+        build_curve(curve, QQ)
 
 
 def test_cli_max_order_exit_code(capsys):
