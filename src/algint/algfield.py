@@ -142,10 +142,15 @@ def _binomial_factor(y, n, p):
     return None
 
 
-def _dt_coeff(c):
-    """d/dt on Q(t)(x): the quotient rule, with d/dt on Q(t)[x] acting on
-    each coefficient in Q(t) by the same rule."""
-    return c.derivative(lambda p: Poly(p.ring, tuple(a.derivative() for a in p.coeffs)))
+def dt_poly(p):
+    """d/dt on Q(t)[x], coefficient by coefficient (the quotient rule on
+    each coefficient in Q(t))."""
+    return Poly(p.ring, tuple(a.derivative() for a in p.coeffs))
+
+
+def dt_coeff(c):
+    """d/dt on Q(t)(x): the quotient rule over dt_poly."""
+    return c.derivative(dt_poly)
 
 
 class AlgElem:
@@ -261,7 +266,7 @@ class AlgElem:
         """The derivation extending d/dt on Q(t)(x), with dt(x) = 0."""
         if self.curve.field != QT:
             raise PreconditionError("t-derivation requires the coefficient field QQ(t)")
-        return self._derive(_dt_coeff)
+        return self._derive(dt_coeff)
 
     def _derive(self, dcoeff):
         """The chain rule: dcoeff on each coefficient, plus poly_y * y'."""

@@ -18,12 +18,21 @@ denominators any antiderivative of the remainder can have.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
-from .algfield import AlgElem, FieldBasis, discriminant, scaled_powers
+from .algfield import AlgElem, FieldBasis, discriminant, dt_coeff, dt_poly, scaled_powers
 from .errors import AlgintError, SuitabilityFailure
-from .hermite import lazy_hermite_reduce
-from .linalg import hnf_rows, vec_mat
-from .rings import Poly, common_denominator, invert_mod, lcm_many, square_part_root
+from .hermite import Presented, lazy_hermite_reduce, product_factors
+from .linalg import hnf_rows, mat_mul, vec_mat
+from .rings import (
+    Poly,
+    common_denominator,
+    gcd,
+    invert_mod,
+    lcm_many,
+    square_part_root,
+    squarefree_decomposition,
+)
 
 
 def _val_inf(rf):
@@ -420,15 +429,67 @@ class AdditiveDecomp:
         )
 
 
+class _BasisData(NamedTuple):
+    """A final basis W over the infinity basis V: W = (1/b)*cmat*V, a the
+    lcm of the derivation denominators of V and b*W, and u the bound on the
+    denominators of antiderivatives."""
+
+    cmat: tuple
+    b: Poly
+    utilde_scale: Poly  # a/(e*b)
+    u: Poly
+    a: Poly
+
+
+def _squarefree(p):
+    return tuple(squarefree_decomposition(p)[1])
+
+
+def _moving_part(s, factors):
+    """(m, k) = (s/g, D_t(s)/g) for g = gcd(s, D_t s), from the squarefree
+    factorisation of s: m is the product of the primes of s that move with
+    t, each once (a monic prime r divides D_t r only if D_t r = 0), and
+    D_t(H/s) = (m*D_t H - k*H)/(s*m)."""
+    m = s.ring.one
+    for p, _ in factors:
+        m = m * p.exact_div(gcd(p, dt_poly(p)))
+    return m, dt_poly(s).exact_div(s.exact_div(m))
+
+
+class _DtData(NamedTuple):
+    """D_t on the remainders over a basis pair (W, V), from V = T*W and
+    D_t W = Nw*W, with T = t_num/tau and Nw = nw_num/nw.
+
+    (1/a)*q*V has W-coordinates H/s with s = a*tau and H = q*t_num, and
+
+        D_t(H/s) + (H/s)*Nw = (m*D_t(H) - k*H)/(s*m) + H*Nw/s
+
+    for (m, k) of _moving_part(s).  So s*lcm_m, lcm_m = lcm(m, nw), bounds
+    the denominator; s_factors and factors are the squarefree
+    factorisations of s and of that bound."""
+
+    t_num: tuple
+    nw: Poly
+    nw_num: tuple
+    s: Poly
+    s_factors: tuple
+    m: Poly
+    k: Poly
+    lcm_m: Poly
+    factors: tuple
+
+
 class Decomposer:
     """Caches the infinity basis, the data of each final basis and the image
-    complements per (u, a)."""
+    complements per (u, a).  In the telescoping loop it also caches D_t on
+    each basis pair (W, V), so that D_t acts on remainders by matrices."""
 
     def __init__(self, curve):
         self.curve = curve
         self._inf = None
         self._bases = {}
         self._complements = {}
+        self._dts = {}
 
     @property
     def inf_basis(self):
@@ -449,42 +510,116 @@ class Decomposer:
         return hit
 
     def _basis_data(self, basis):
-        """(cmat, a/(e*b), u, a) of a final basis W, computed once per basis
-        object: W = (1/b)*cmat*V over the infinity basis V, a is the lcm of
-        the derivation denominators of V and b*W, and u bounds the
-        denominators of antiderivatives."""
+        """The _BasisData of a final basis, computed once per basis object."""
         hit = self._bases.get(basis)
         if hit is None:
             inf = self.inf_basis
             b, cmat = common_denominator([inf.coords_of(w) for w in basis.elements])
             eb = basis.e * b
             a = lcm_many([inf.e, eb])
-            hit = (cmat, a.exact_div(eb), compute_u(basis, b), a)
+            hit = _BasisData(cmat, b, a.exact_div(eb), compute_u(basis, b), a)
             self._bases[basis] = hit
         return hit
 
+    def _dt_data(self, basis):
+        """The _DtData of the pair (basis, V), computed once per basis object.
+
+        D_t acts on the power basis Y by D_t Y = P*Y, with row j the
+        coordinates of j*y^(j-1)*D_t(y).  A basis with Y-coordinates trans
+        has D_t-coordinates D_t(trans) + trans*P over Y, and the W-coordinates
+        of anything are its Y-coordinates times W's trans_inv."""
+        hit = self._dts.get(basis)
+        if hit is None:
+            cur = self.curve
+            y = cur.gen()
+            yt = y.dt()
+            power = ((cur.xfrac.zero,) * cur.n,) + tuple(
+                (j * y ** (j - 1) * yt).coords() for j in range(1, cur.n)
+            )
+            winv = basis.trans_inv
+            dt_w = tuple(
+                tuple(dt_coeff(c) + r for c, r in zip(row, moved))
+                for row, moved in zip(basis.trans, mat_mul(basis.trans, power))
+            )
+            nw, nw_num = common_denominator(mat_mul(dt_w, winv))
+            tau, t_num = common_denominator(mat_mul(self.inf_basis.trans, winv))
+            a = self._basis_data(basis).a
+            s, s_factors = a * tau, product_factors(_squarefree(a), _squarefree(tau))
+            m, k = _moving_part(s, s_factors)
+            lcm_m = lcm_many([m, nw])
+            factors = product_factors(s_factors, _squarefree(lcm_m))
+            hit = _DtData(t_num, nw, nw_num, s, s_factors, m, k, lcm_m, factors)
+            self._dts[basis] = hit
+        return hit
+
+    def dt_remainder(self, dec):
+        """D_t of the remainder h of dec, presented over dec.basis for
+        decompose, with its denominator factored.  h = (1/d)*p*W +
+        (1/a)*q*V has W-coordinates H/D with D = d*s and
+        H = s*p + d*q*t_num, and D_t acts on them as in _DtData; for p = 0
+        that is D = s, and the pair's data serves as it is.  d is squarefree,
+        so the factorisation of D follows from that of s."""
+        dtd = self._dt_data(dec.basis)
+        h = vec_mat(dec.q_nums, dtd.t_num)
+        big_d, m, k, lcm_m, factors = dtd.s, dtd.m, dtd.k, dtd.lcm_m, dtd.factors
+        if any(dec.p_nums):
+            d = dec.d
+            big_d = d * dtd.s
+            h = tuple(dtd.s * c + d * r for c, r in zip(dec.p_nums, h))
+            d_factors = product_factors(((d, 1),), dtd.s_factors)
+            m, k = _moving_part(big_d, d_factors)
+            lcm_m = lcm_many([m, dtd.nw])
+            factors = product_factors(d_factors, _squarefree(lcm_m))
+        m_scale, nw_scale = lcm_m.exact_div(m), lcm_m.exact_div(dtd.nw)
+        numer = tuple(
+            m_scale * (m * dt_poly(c) - k * c) + nw_scale * r
+            for c, r in zip(h, vec_mat(h, dtd.nw_num))
+        )
+        return Presented(dec.basis, big_d * lcm_m, numer, factors)
+
+    def remainder_rows(self, decs):
+        """Numerator rows of the remainders of decs, all over one basis W,
+        as V-coordinates over one common denominator:
+        (1/d)*p*W = (1/(d*b))*(p*cmat)*V."""
+        data = self._basis_data(decs[0].basis)
+        a = data.a
+        den = lcm_many([a] + [dec.d * data.b for dec in decs if any(dec.p_nums)])
+        q_scale = den.exact_div(a)
+        rows = []
+        for dec in decs:
+            row = dec.q_nums
+            if q_scale.degree > 0:
+                row = tuple(q_scale * c for c in row)
+            if any(dec.p_nums):
+                p_scale = den.exact_div(dec.d * data.b)
+                row = tuple(
+                    r + p_scale * c for r, c in zip(row, vec_mat(dec.p_nums, data.cmat))
+                )
+            rows.append(row)
+        return rows
+
     def decompose(self, f, basis=None):
-        """Additive decomposition of f, starting from basis (an initial
-        suitable basis when None).  u and a depend on the final basis
-        alone, so decompositions that end on one basis share u, a and the
-        image complement."""
+        """Additive decomposition of f, a field element reduced from basis (an
+        initial suitable basis when None) or a hermite.Presented form.  u and
+        a depend on the final basis alone, so decompositions that end on one
+        basis share u, a and the image complement."""
         her = lazy_hermite_reduce(f, basis)
         w_basis = her.basis
         d, r, s = euclid_split(her.remainder)
-        cmat, utilde_scale, u, a = self._basis_data(w_basis)
-        utilde = tuple(utilde_scale * p for p in vec_mat(s, cmat))
-        p1, q2 = self.complement(u, a).reduce(utilde)
+        data = self._basis_data(w_basis)
+        utilde = tuple(data.utilde_scale * p for p in vec_mat(s, data.cmat))
+        p1, q2 = self.complement(data.u, data.a).reduce(utilde)
         inf = self.inf_basis
-        g = her.g_part + inf.element(u, p1)
+        g = her.g_part + inf.element(data.u, p1)
         return AdditiveDecomp(
             g=g,
             basis=w_basis,
             d=d,
             p_nums=r,
             inf_basis=inf,
-            a=a,
+            a=data.a,
             q_nums=q2,
-            u=u,
+            u=data.u,
         )
 
 

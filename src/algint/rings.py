@@ -181,11 +181,16 @@ class Poly:
                 return self.ring.zero
             zero = self.ring.coeff.zero
             out = [zero] * (len(a) + len(b) - 1)
+            # a zero bj is skipped when it is the field's zero object, which
+            # is what products, monomials and generators leave in their empty
+            # places; an identity test costs no call, a truth test would cost
+            # one per coefficient and outweigh the products it saves
             for i, ai in enumerate(a):
                 if not ai:
                     continue
                 for j, bj in enumerate(b):
-                    out[i + j] = out[i + j] + ai * bj
+                    if bj is not zero:
+                        out[i + j] = out[i + j] + ai * bj
             return Poly(self.ring, out)
         try:
             c = self.ring.coeff.coerce(other)

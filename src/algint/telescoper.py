@@ -8,12 +8,22 @@ dependency sum(c_i * h_i) = 0 yields the telescoper L = sum(c_i * D_t^i)
 with certificate g = sum(c_i * gamma_i), where gamma_r accumulates the
 derivative parts so that D_t^r f = gamma_r' + h_r exactly.
 
+The ledger keeps each remainder in the coordinates of its decomposition,
+h = (1/d)*p_nums*W + (1/a)*q_nums*V over the basis pair (W, V), not as a
+field element.  D_t acts on them by basis matrices
+(Decomposer.dt_remainder), which hand the next decomposition the
+presentation of D_t h over W with its denominator already factored, and
+the dependency search reads the coordinates over V
+(Decomposer.remainder_rows): ranks and the normalized dependency do not
+depend on the K(x)-basis they are read in.
+
 All entries must share one basis W; u and a follow from W, so they are
 shared with it.  When a decomposition enlarges the module, the whole ledger
 is rebased: every stored remainder is rewritten over the new basis (its
 representation stays denominator-squarefree, so this never triggers Hermite
 steps) and the derivative part that splits off is folded into the entry's
-gamma.
+gamma.  The certificate is checked from scratch at the end
+(verify_telescoper).
 """
 
 from __future__ import annotations
@@ -30,15 +40,16 @@ from .errors import (
     PreconditionError,
 )
 from .linalg import nullspace
-from .polyred import Decomposer
+from .polyred import AdditiveDecomp, Decomposer
 from .rings import QT, common_denominator
 
 
 @dataclass
 class LedgerEntry:
-    """D_t^i f = dx(gamma) + h."""
+    """D_t^i f = dx(gamma) + h, with h the remainder of the decomposition
+    dec: (1/d)*p_nums*W + (1/a)*q_nums*V."""
 
-    h_elem: AlgElem
+    dec: AdditiveDecomp
     gamma: AlgElem
 
 
@@ -48,12 +59,12 @@ class RemainderLedger:
     def __init__(self, decomposer, first_dec):
         self.decomposer = decomposer
         self.basis = first_dec.basis
-        self.entries = [LedgerEntry(first_dec.remainder_element(), first_dec.g)]
+        self.entries = [LedgerEntry(first_dec, first_dec.g)]
 
     def extend(self, dec, gamma):
         """Append the entry for dec; rebase the earlier entries if dec
         enlarged the module."""
-        self.entries.append(LedgerEntry(dec.remainder_element(), gamma))
+        self.entries.append(LedgerEntry(dec, gamma))
         if dec.basis is not self.basis:
             self._rebase(dec.basis)
 
@@ -65,13 +76,13 @@ class RemainderLedger:
             )
         self.basis = new_basis
         for entry in self.entries[:-1]:
-            dec = self.decomposer.decompose(entry.h_elem, basis=new_basis)
+            dec = self.decomposer.decompose(entry.dec.remainder_element(), basis=new_basis)
             if dec.basis is not new_basis:
                 # the rebase input has squarefree denominators, so the
                 # reduction must not move the module again
                 raise ContainmentViolated("module enlarged during a rebase")
             entry.gamma = entry.gamma + dec.g
-            entry.h_elem = dec.remainder_element()
+            entry.dec = dec
 
 
 @dataclass(frozen=True)
@@ -84,32 +95,35 @@ class Telescoper:
     ranks: tuple
 
 
-def _dependency_matrix(entries):
-    curve = entries[0].h_elem.curve
-    _, nums = common_denominator([en.h_elem.coords() for en in entries])
-    rows = []
-    for j in range(curve.n):
-        degmax = max(nums[i][j].degree for i in range(len(entries)))
+def _dependency_matrix(rows):
+    """The linear system over Q(t) of a dependency: one column per
+    remainder, one row per component j and power x^k of the numerators,
+    zero rows dropped."""
+    n = len(rows[0])
+    out = []
+    for j in range(n):
+        degmax = max(row[j].degree for row in rows)
         for k in range(degmax + 1):
-            row = tuple(nums[i][j].coeff(k) for i in range(len(entries)))
-            if any(c != curve.field.zero for c in row):
-                rows.append(row)
-    return tuple(rows)
+            out_row = tuple(row[j].coeff(k) for row in rows)
+            if any(out_row):
+                out.append(out_row)
+    return tuple(out)
 
 
-def find_dependency(entries):
-    """First Q(t)-linear dependency among the ledger remainders.
+def find_dependency(rows):
+    """First Q(t)-linear dependency among the ledger remainders, given as
+    numerator rows over one common denominator in one K(x)-basis.
 
     Returns (coeffs, rank): coeffs is None while the remainders are
     independent, otherwise a normalized vector with nonzero last entry.
     """
-    field = entries[0].h_elem.curve.field
-    m = len(entries)
-    rows = _dependency_matrix(entries)
-    if not rows:
+    field = rows[0][0].ring.coeff
+    m = len(rows)
+    matrix = _dependency_matrix(rows)
+    if not matrix:
         coeffs = (field.one,) + (field.zero,) * (m - 1)
         return coeffs, 0
-    null = nullspace(rows, field)
+    null = nullspace(matrix, field)
     rank = m - len(null)
     if not null:
         return None, rank
@@ -167,7 +181,8 @@ def telescope(f, max_order=20):
     ranks = []
     r = 0
     while True:
-        coeffs, rank = find_dependency(ledger.entries)
+        rows = decomposer.remainder_rows([entry.dec for entry in ledger.entries])
+        coeffs, rank = find_dependency(rows)
         ranks.append(rank)
         if coeffs is not None:
             cert = f.curve.zero()
@@ -181,7 +196,7 @@ def telescope(f, max_order=20):
         if r >= max_order:
             raise MaxOrderExceeded(max_order, tuple(ranks))
         prev = ledger.entries[-1]
-        dec = decomposer.decompose(prev.h_elem.dt(), basis=ledger.basis)
+        dec = decomposer.decompose(decomposer.dt_remainder(prev.dec))
         gamma = prev.gamma.dt() + dec.g
         ledger.extend(dec, gamma)
         r += 1

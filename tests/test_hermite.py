@@ -191,8 +191,8 @@ def test_every_presented_basis_is_suitable(monkeypatch):
         updates.append(step)
         return breaking if len(updates) == 1 else real_update(step)
 
-    def recording_present(basis, q, numer):
-        pres = real_present(basis, q, numer)
+    def recording_present(basis, q, numer, factors):
+        pres = real_present(basis, q, numer, factors)
         presented.append(pres)
         return pres
 
@@ -305,15 +305,16 @@ def test_step_without_progress_is_an_error(parabola, monkeypatch):
     presented = []
     real_present = hermite._present
 
-    def counting_present(basis, q, numer):
+    def counting_present(basis, q, numer, factors):
         presented.append(q)
-        return real_present(basis, q, numer)
+        return real_present(basis, q, numer, factors)
 
     def stalled_step(pres):
         return StepReduced(
             g_part=parabola.zero(),
             rest_den=pres.u * pres.v**pres.d,
             rest_numer=pres.numer,
+            rest_factors=pres.factors,
             outcome=None,
         )
 

@@ -68,6 +68,26 @@ def test_ext_gcd_bezout_identity_frozen():
     assert s * P(0, 0, 1) + t * P(-1, 1) == R.one
 
 
+def test_product_multiplies_only_nonzero_coefficient_pairs(monkeypatch):
+    # x^3 + t and x^4 + 1 over Q(t) have two nonzero coefficients each, so
+    # their product takes four coefficient products, whichever comes first
+    tx = POLY_X_QT.from_coeff(QT.gen)
+    a, b = POLY_X_QT.gen**3 + tx, POLY_X_QT.gen**4 + POLY_X_QT.one
+    calls = []
+    real = rings.RatFunc.__mul__
+
+    def counted(self, other):
+        calls.append(1)
+        return real(self, other)
+
+    monkeypatch.setattr(rings.RatFunc, "__mul__", counted)
+    for left, right in ((a, b), (b, a)):
+        calls.clear()
+        prod = left * right
+        assert len(calls) == 4
+        assert prod == POLY_X_QT.gen**7 + tx * POLY_X_QT.gen**4 + POLY_X_QT.gen**3 + tx
+
+
 def test_lcm_of_coprime_is_product():
     assert lcm(P(0, 1), P(1, 1)) == P(0, 1, 1)
     assert lcm_many([P(0, 1), P(0, 1), P(1, 1)]) == P(0, 1, 1)

@@ -8,9 +8,8 @@ from algint.algfield import initial_suitable_basis
 from algint.errors import AlgintError, MaxOrderExceeded, PreconditionError
 from algint.parsing import build_curve, build_element
 from algint.polyred import Decomposer
-from algint.rings import QQ, QT, T_POLY
+from algint.rings import QQ, QT, T_POLY, common_denominator
 from algint.telescoper import (
-    LedgerEntry,
     RemainderLedger,
     _normalize_dependency,
     apply_telescoper,
@@ -167,14 +166,15 @@ def test_ledger_rebase_preserves_entry_identities():
     ledger = RemainderLedger(decomposer, dec0)
 
     w1 = w0.enlarge([build_element("y/(x-t)", curve)])
-    dec1 = decomposer.decompose(ledger.entries[0].h_elem.dt(), basis=w1)
+    dec1 = decomposer.decompose(ledger.entries[0].dec.remainder_element().dt(), basis=w1)
     gamma1 = ledger.entries[0].gamma.dt() + dec1.g
     ledger.extend(dec1, gamma1)
 
     assert ledger.basis is w1
     # identity D_t^i f = dx(gamma_i) + h_i survives the rebase for both rows
-    assert f == ledger.entries[0].gamma.dx() + ledger.entries[0].h_elem
-    assert f.dt() == ledger.entries[1].gamma.dx() + ledger.entries[1].h_elem
+    h0, h1 = (entry.dec.remainder_element() for entry in ledger.entries)
+    assert f == ledger.entries[0].gamma.dx() + h0
+    assert f.dt() == ledger.entries[1].gamma.dx() + h1
 
 
 def test_dependency_missing_the_newest_remainder_is_refused(legendre):
@@ -182,9 +182,27 @@ def test_dependency_missing_the_newest_remainder_is_refused(legendre):
     # them alone breaks the loop's invariant
     h = build_element("1/y", legendre)
     k = build_element("x/y", legendre)
-    entries = [LedgerEntry(e, legendre.zero()) for e in (h, h + h, k)]
+    _, rows = common_denominator([e.coords() for e in (h, h + h, k)])
     with pytest.raises(AlgintError):
-        find_dependency(entries)
+        find_dependency(rows)
+
+
+def test_third_kind_integrand_reads_the_pole_part_of_its_remainders(legendre, monkeypatch):
+    # 1/((x-2)*y) has a simple pole where the curve is smooth, so its
+    # remainders keep a pole part over W, and D_t acts on it through Nw
+    seen = []
+    real = Decomposer.dt_remainder
+
+    def recording(self, dec):
+        seen.append(dec)
+        return real(self, dec)
+
+    monkeypatch.setattr(Decomposer, "dt_remainder", recording)
+    f = build_element("1/((x-2)*y)", legendre)
+    tel = telescope(f)
+    assert tel.order == 3
+    assert verify_telescoper(f, tel.coeffs, tel.certificate)
+    assert any(any(dec.p_nums) for dec in seen)
 
 
 def test_telescope_verifies_before_returning(legendre):
