@@ -184,21 +184,21 @@ def _print_text(mode, payload, elapsed):
     print(f"elapsed: {elapsed:.3f}s")
 
 
-def _emit(args, mode, field, payload, elapsed):
+def _emit(args, field, payload, elapsed):
     if args.format == "structured":
         doc = {
             "schema": SCHEMA_RESULT,
-            "mode": mode,
+            "mode": args.command,
             "input": {
                 "curve": args.curve,
-                "integrand": getattr(args, "integrand", None),
+                "integrand": args.integrand,
                 "field": _field_name(field),
             },
             "result": payload,
         }
         print(json.dumps(doc, sort_keys=True, indent=2))
     else:
-        _print_text(mode, payload, elapsed)
+        _print_text(args.command, payload, elapsed)
 
 
 # -- corpus running
@@ -234,68 +234,53 @@ def _record_problem(record):
     return None
 
 
+# corpus mode -> (subcommand run, its payload fields kept, field `expect`
+# checks); a record holds no telescoper or certificate, so it cannot ask
+# for `reduce` or `verify`
+_CORPUS_MODES = {
+    "integrate": ("integrate", ("integrable", "antiderivative"), "integrable"),
+    "decompose": ("integrate", ("integrable", "antiderivative"), "integrable"),
+    "telescope": (
+        "telescope", ("order", "coefficients", "certificate", "verified"), "order"
+    ),
+}
+
+
 def run_record(record):
-    """Run one corpus record; never raises, reports errors in the result."""
+    """Run one corpus record through its subcommand; never raises, reports
+    errors in the result."""
     fields = record if isinstance(record, dict) else {}
     mode = str(fields.get("mode", "integrate"))
     out = {
         "name": str(fields.get("name", "<unnamed>")),
         "mode": mode,
-        "status": "ok",
+        "status": "error",
         "error": None,
     }
     problem = _record_problem(record)
     if problem is not None:
-        out["status"] = "error"
         out["error"] = f"DomainError: {problem}"
         return out
+    if mode not in _CORPUS_MODES:
+        out["error"] = f"unknown mode {mode!r}"
+        return out
+    command, kept, key = _CORPUS_MODES[mode]
+    args = argparse.Namespace(
+        curve=record["curve"],
+        integrand=record["integrand"],
+        max_order=record.get("max_order", 20),
+    )
     try:
-        field = field_for(
-            [record["curve"], record["integrand"]], force_t=(mode == "telescope")
-        )
-        curve = build_curve(record["curve"], field)
-        f = build_element(record["integrand"], curve)
-        if mode == "telescope":
-            tele = telescope(f, max_order=record.get("max_order", 20))
-            out["result"] = {
-                "order": tele.order,
-                "coefficients": [str(c) for c in tele.coeffs],
-                "certificate": str(tele.certificate),
-                "verified": True,
-            }
-            expected = record.get("expect", {})
-            if "order" in expected and expected["order"] != tele.order:
-                out["status"] = "mismatch"
-                out["error"] = (
-                    f"expected order {expected['order']}, got {tele.order}"
-                )
-        elif mode in ("integrate", "decompose"):
-            dec = additive_decompose(f)
-            anti = dec.antiderivative()
-            if anti is not None and anti.dx() != f:
-                out["status"] = "error"
-                out["error"] = "antiderivative check failed"
-                return out
-            out["result"] = {
-                "integrable": dec.integrable,
-                "antiderivative": None if anti is None else str(anti),
-            }
-            expected = record.get("expect", {})
-            if (
-                "integrable" in expected
-                and expected["integrable"] != dec.integrable
-            ):
-                out["status"] = "mismatch"
-                out["error"] = (
-                    f"expected integrable={expected['integrable']}, "
-                    f"got {dec.integrable}"
-                )
-        else:
-            out["status"] = "error"
-            out["error"] = f"unknown mode {mode!r}"
+        _, payload = _DISPATCH[command](args)
     except AlgintError as exc:
-        out["status"] = "error"
         out["error"] = f"{type(exc).__name__}: {exc}"
+        return out
+    out["status"] = "ok"
+    out["result"] = {k: payload[k] for k in kept}
+    expected = record.get("expect", {})
+    if key in expected and expected[key] != payload[key]:
+        out["status"] = "mismatch"
+        out["error"] = f"expected {key}={expected[key]!r}, got {payload[key]!r}"
     return out
 
 
@@ -314,12 +299,16 @@ def _run_line(numbered):
 
 
 def _cmd_corpus(args):
-    with open(args.path, "r", encoding="utf-8") as fh:
-        lines = [
-            (number, line)
-            for number, line in enumerate(fh, 1)
-            if line.strip() and not line.startswith("#")
-        ]
+    try:
+        with open(args.path, "r", encoding="utf-8") as fh:
+            lines = [
+                (number, line)
+                for number, line in enumerate(fh, 1)
+                if line.strip() and not line.startswith("#")
+            ]
+    except (OSError, UnicodeDecodeError) as exc:
+        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
     # at most one worker per record: under fork, a pool starts every
     # worker at its first submit
     jobs = min(args.jobs, len(lines))
@@ -359,10 +348,9 @@ def _cmd_corpus(args):
     return 0 if ok == len(results) else 1
 
 
-def _add_common(sub, integrand=True):
+def _add_common(sub):
     sub.add_argument("--curve", required=True, help="defining polynomial in x, y (and t)")
-    if integrand:
-        sub.add_argument("--integrand", required=True, help="expression in x, y (and t)")
+    sub.add_argument("--integrand", required=True, help="expression in x, y (and t)")
     sub.add_argument(
         "--format", choices=["text", "structured"], default="text",
         help="structured output is deterministic JSON",
@@ -413,7 +401,7 @@ def main(argv=None):
             return _cmd_corpus(args)
         start = time.monotonic()
         field, payload = _DISPATCH[args.command](args)
-        _emit(args, args.command, field, payload, time.monotonic() - start)
+        _emit(args, field, payload, time.monotonic() - start)
         return 0
     except ExprSyntaxError as exc:
         print(f"syntax error: {exc}", file=sys.stderr)

@@ -36,6 +36,7 @@ from .algfield import AlgElem
 from .errors import (
     AlgintError,
     ContainmentViolated,
+    DomainError,
     MaxOrderExceeded,
     PreconditionError,
 )
@@ -170,9 +171,12 @@ def telescope(f, max_order=20):
     """Minimal-order telescoper for f with respect to D_t.
 
     Raises MaxOrderExceeded (with the per-round ranks) if no dependency
-    shows up by the requested order.  The returned telescoper is verified
-    against a fresh computation of sum(c_i D_t^i f) before it is returned.
+    shows up by the requested order, and DomainError for a negative order.
+    The returned telescoper is verified against a fresh computation of
+    sum(c_i D_t^i f) before it is returned.
     """
+    if max_order < 0:
+        raise DomainError(f"order cap must be >= 0, got {max_order}")
     if f.curve.field != QT:
         raise PreconditionError("telescoping requires the coefficient field QQ(t)")
     decomposer = Decomposer(f.curve)

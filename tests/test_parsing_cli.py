@@ -221,7 +221,7 @@ def test_cli_suitability_exit_code(monkeypatch, capsys):
 
 
 def test_wrong_antiderivative_fails_its_check(monkeypatch, capsys):
-    # both the CLI and the corpus runner re-differentiate the antiderivative
+    # the corpus runner runs the CLI's subcommand, and with it its check
     monkeypatch.setattr(AdditiveDecomp, "antiderivative", lambda dec: dec.g + dec.g)
     rc = main(["integrate", "--curve", "y^2 - x", "--integrand", "y/x^3"])
     captured = capsys.readouterr()
@@ -231,7 +231,48 @@ def test_wrong_antiderivative_fails_its_check(monkeypatch, capsys):
     out = run_record({"name": "probe", "curve": "y^2 - x", "integrand": "y/x^3"})
     assert out == {
         "name": "probe", "mode": "integrate", "status": "error",
-        "error": "antiderivative check failed",
+        "error": "AlgintError: decomposition check failed",
+    }
+
+
+@pytest.mark.parametrize("mode", ["integrate", "decompose"])
+def test_wrong_remainder_of_a_non_integrable_record_fails_its_check(
+    monkeypatch, capsys, mode
+):
+    # f is not integrable, so no antiderivative is printed: only
+    # f == dx(g) + h catches the wrong h
+    real = AdditiveDecomp.remainder_element
+    monkeypatch.setattr(
+        AdditiveDecomp, "remainder_element", lambda dec: real(dec) + real(dec)
+    )
+    curve, integrand = "y^2 - x", "y/(x^2*(x+1))"
+    out = run_record(
+        {"name": "probe", "mode": mode, "curve": curve, "integrand": integrand}
+    )
+    assert out == {
+        "name": "probe", "mode": mode, "status": "error",
+        "error": "AlgintError: decomposition check failed",
+    }
+    rc = main([mode, "--curve", curve, "--integrand", integrand])
+    captured = capsys.readouterr()
+    assert rc == 3
+    assert captured.err == "AlgintError: decomposition check failed\n"
+    assert captured.out == ""
+
+
+def test_negative_order_cap_is_a_domain_error(capsys):
+    curve, integrand = "y^2 - x - t", "y"  # order 0 under any cap >= 0
+    rc = main(["telescope", "--curve", curve, "--integrand", integrand,
+               "--max-order", "-1"])
+    captured = capsys.readouterr()
+    assert rc == 3
+    assert captured.err == "DomainError: order cap must be >= 0, got -1\n"
+    assert captured.out == ""
+    out = run_record({"name": "probe", "mode": "telescope", "curve": curve,
+                      "integrand": integrand, "max_order": -1})
+    assert out == {
+        "name": "probe", "mode": "telescope", "status": "error",
+        "error": "DomainError: order cap must be >= 0, got -1",
     }
 
 
@@ -422,6 +463,15 @@ def test_run_record_flags_expectation_mismatch():
     }
     out = run_record(rec)
     assert out["status"] == "mismatch"
+    assert out["error"] == "expected integrable=False, got True"
+    rec = {
+        "name": "wrong", "mode": "telescope",
+        "curve": "y^2 - x - t", "integrand": "y",
+        "expect": {"order": 1},
+    }
+    out = run_record(rec)
+    assert out["status"] == "mismatch"
+    assert out["error"] == "expected order=1, got 0"
 
 
 def test_run_record_captures_errors():
@@ -448,8 +498,13 @@ def test_run_record_captures_errors():
              "integrand": "(" * 3000 + "x" + ")" * 3000},
             "nests deeper than",
         ),
+        # refused before the record is parsed
+        ({"name": "reduce", "mode": "reduce", "curve": "y^2 - x", "integrand": "(("},
+         "unknown mode 'reduce'"),
+        ({"name": "verify", "mode": "verify", "curve": "y^2 - x", "integrand": "(("},
+         "unknown mode 'verify'"),
     ],
-    ids=["missing-curve", "max-order-not-int", "deep-nesting"],
+    ids=["missing-curve", "max-order-not-int", "deep-nesting", "reduce-mode", "verify-mode"],
 )
 def test_run_record_contains_bad_records(record, message):
     out = run_record(record)
@@ -545,6 +600,24 @@ def test_corpus_line_that_is_not_json_is_an_error_record(capsys, tmp_path):
         assert bad["status"] == "error"
         assert bad["error"].startswith("JSONDecodeError: corpus line 2: ")
         assert doc["summary"] == {"total": 2, "ok": 1, "mismatch": 0, "error": 1}
+
+
+@pytest.mark.parametrize(
+    "kind, error",
+    [("missing", "FileNotFoundError"), ("directory", "IsADirectoryError"),
+     ("not-utf8", "UnicodeDecodeError")],
+)
+def test_unreadable_corpus_exits_3_with_one_line(capsys, tmp_path, kind, error):
+    path = tmp_path / "corpus.jsonl"
+    if kind == "directory":
+        path.mkdir()
+    elif kind == "not-utf8":
+        path.write_bytes(b"\xff\xfe" + json.dumps({"curve": "y^2 - x"}).encode())
+    assert main(["corpus", str(path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"{error}: ")
+    assert captured.err.count("\n") == 1
 
 
 def test_corpus_continues_past_bad_records(capsys, tmp_path):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from algint.algfield import initial_suitable_basis
-from algint.errors import AlgintError, MaxOrderExceeded, PreconditionError
+from algint.errors import AlgintError, DomainError, MaxOrderExceeded, PreconditionError
 from algint.parsing import build_curve, build_element
 from algint.polyred import Decomposer
 from algint.rings import QQ, QT, T_POLY, common_denominator
@@ -143,6 +143,14 @@ def test_max_order_exceeded_carries_rank_profile(legendre):
         telescope(f, max_order=1)
     assert err.value.max_order == 1
     assert err.value.ranks == (1, 2)
+
+
+def test_negative_order_cap_is_refused_before_any_work():
+    curve = build_curve("y^2 - x - t", QT)
+    f = build_element("y", curve)
+    assert telescope(f, max_order=0).order == 0
+    with pytest.raises(DomainError, match="order cap must be >= 0, got -1"):
+        telescope(f, max_order=-1)
 
 
 def test_telescope_requires_parameter_field(parabola):
