@@ -14,18 +14,22 @@ Names are maximal letter runs; only x, y and (over QQ(t)) t are defined.
 Error positions are 0-based character offsets.  A binary operator with a
 missing right operand reports the operator's own position.  Parentheses and
 unary minus signs may nest at most MAX_NESTING deep, so that the recursive
-descent stays far from the interpreter's recursion limit.  An exponent, and
-the value of a chain of them, may be at most MAX_EXPONENT in size, so that
-a short input cannot run for minutes, and an integer literal at most as
+descent stays far from the interpreter's recursion limit.  An exponent, the
+value of a chain of them, and the power each name or literal is raised to
+through the parenthesised groups around it may be at most MAX_EXPONENT in
+size, so that a short input cannot run for minutes: (x^2)^50 is accepted,
+(x^2)^51 is refused at its exponent.  An integer literal may be at most as
 long as the interpreter converts to int (sys.get_int_max_str_digits(), 4300
 digits by default).
 
-The same parser serves both jobs: curves evaluate in the fraction field of
-K(x)[y] (the denominator must be free of y).  Integrands bind x, t and
-integer literals in K(x), so their y-free subterms are evaluated there and
-lifted into the function field of an already-built curve once, when they
-meet y.  A zero divisor raises DomainError: "division by zero" in a curve,
-"inversion of zero" in an integrand, as the function field itself reports.
+The same parser serves both jobs, and both bind x, t and integer literals in
+K(x).  Curves bind y as the generator of the ring K(x)[y], which has no
+inverses, so a divisor or a negative power that involves y is refused with
+DomainError "curve must be polynomial in y".  Integrands bind y in the
+function field of an already-built curve, so their y-free subterms are
+evaluated in K(x) and lifted into it once, when they meet y.  A zero divisor
+raises DomainError: "division by zero" in a curve, "inversion of zero" in an
+integrand, as the function field itself reports.
 """
 
 from __future__ import annotations
@@ -37,15 +41,12 @@ from .errors import DomainError, ExprSyntaxError, UnknownVariable
 from .rings import (
     QQ,
     QT,
-    T_POLY,
-    FracField,
     Poly,
     PolyRing,
     RatFunc,
     common_denominator,
     gcd,
     x_frac_field,
-    x_poly_ring,
 )
 
 
@@ -122,6 +123,7 @@ class _Parser:
         self.from_int = from_int
         self.zero_message = zero_message
         self.depth = 0
+        self.peak = 1
 
     def _peek(self):
         return self.toks[self.i]
@@ -171,11 +173,17 @@ class _Parser:
             rhs = self.factor()
             if op.value == "*":
                 value = value * rhs
-            elif not rhs:
-                raise DomainError(self.zero_message)
             else:
+                self._check_divisor(rhs)
                 value = value / rhs
         return value
+
+    def _check_divisor(self, value):
+        if not value:
+            raise DomainError(self.zero_message)
+        # only a curve binds y in K(x)[y], a ring in which y has no inverse
+        if isinstance(value, Poly):
+            raise DomainError("curve must be polynomial in y")
 
     def factor(self):
         tok = self._peek()
@@ -186,6 +194,9 @@ class _Parser:
             value = -self.factor()
             self.depth -= 1
             return value
+        # self.peak: the largest power that a name or literal of the
+        # enclosing group is raised to, through the groups around it
+        outer, self.peak = self.peak, 1
         value = self.atom()
         chain = []  # (sign, literal, position) of each exponent, left to right
         while self._peek().kind == "op" and self._peek().value == "^":
@@ -215,8 +226,12 @@ class _Parser:
             if power > MAX_EXPONENT:
                 raise ExprSyntaxError(f"exponent exceeds {MAX_EXPONENT}", pos)
             power *= sign
-        if power < 0 and not value:
-            raise DomainError(self.zero_message)
+        self.peak *= abs(power)
+        if self.peak > MAX_EXPONENT:
+            raise ExprSyntaxError(f"exponent exceeds {MAX_EXPONENT}", chain[0][2])
+        self.peak = max(outer, self.peak)
+        if power < 0:
+            self._check_divisor(value)
         return value ** power if chain else value
 
     def atom(self):
@@ -241,32 +256,24 @@ class _Parser:
 
 def parse_expression(text, names, from_int, zero_message="division by zero"):
     """Evaluate text over the given name bindings; any value type with
-    field operators works."""
+    field operators works.  A Poly may be a dividend but never a divisor."""
     return _Parser(tokenize(text), names, from_int, zero_message).parse()
 
 
 def build_curve(text, const_field):
     """Parse a polynomial in x and y (coefficients may be rational in x)
-    into a Curve.  Denominators are cleared and the K[x]-content removed, so
-    the recorded leading coefficient is a polynomial."""
-    xring = x_poly_ring(const_field)
+    into a Curve.  x and t evaluate in K(x) and y in K(x)[y]; denominators
+    are cleared and the K[x]-content removed, so the recorded leading
+    coefficient is a polynomial."""
     xfrac = x_frac_field(const_field)
     yring = PolyRing(xfrac, "y")
-    yfrac = FracField(yring)
-    names = {
-        "x": yfrac.of(yring.from_coeff(xfrac.of(xring.gen))),
-        "y": yfrac.of(yring.gen),
-    }
+    names = {"x": xfrac.gen, "y": yring.gen}
     if const_field == QT:
-        t_val = xfrac.of(xring.from_coeff(QT.of(T_POLY.gen)))
-        names["t"] = yfrac.of(yring.from_coeff(t_val))
-    value = parse_expression(text, names, yfrac.from_int)
-    if value.den.degree > 0:
-        raise DomainError("curve must be polynomial in y")
-    poly = value.num / value.den.constant_term()
-    if poly.degree < 1:
+        names["t"] = xfrac.coerce(QT.gen)
+    value = parse_expression(text, names, xfrac.from_int)
+    if not isinstance(value, Poly) or value.degree < 1:
         raise DomainError("curve must involve y")
-    _, (cleared,) = common_denominator([poly.coeffs])
+    _, (cleared,) = common_denominator([value.coeffs])
     content = None
     for p in cleared:
         if p:

@@ -5,9 +5,13 @@ import pytest
 from hypothesis import HealthCheck, settings, strategies as st
 
 from algint.algfield import Curve, FieldBasis, power_basis
+from algint.errors import DomainError
 from algint.linalg import transpose, vec_mat
-from algint.parsing import build_curve, build_element
-from algint.rings import QQ, QT, POLY_X_QQ, RAT_X_QQ
+from algint.parsing import build_curve, build_element, parse_expression
+from algint.rings import (
+    QQ, QT, POLY_X_QQ, RAT_X_QQ, T_POLY, FracField, Poly, PolyRing,
+    common_denominator, gcd, x_frac_field, x_poly_ring,
+)
 
 settings.register_profile(
     "suite",
@@ -138,6 +142,36 @@ def hnf_member(h, vec):
             for j in range(col, len(v)):
                 v[j] = v[j] - q * row[j]
     return not any(v)
+
+
+def reference_curve(text, const_field):
+    """build_curve by evaluation in the fraction field Frac(K(x)[y]), where
+    every name is a fraction of polynomials over K(x) and a curve is
+    refused only when its reduced denominator involves y."""
+    xring = x_poly_ring(const_field)
+    xfrac = x_frac_field(const_field)
+    yring = PolyRing(xfrac, "y")
+    yfrac = FracField(yring)
+    names = {
+        "x": yfrac.of(yring.from_coeff(xfrac.of(xring.gen))),
+        "y": yfrac.of(yring.gen),
+    }
+    if const_field == QT:
+        t_val = xfrac.of(xring.from_coeff(QT.of(T_POLY.gen)))
+        names["t"] = yfrac.of(yring.from_coeff(t_val))
+    value = parse_expression(text, names, yfrac.from_int)
+    if value.den.degree > 0:
+        raise DomainError("curve must be polynomial in y")
+    poly = value.num / value.den.constant_term()
+    if poly.degree < 1:
+        raise DomainError("curve must involve y")
+    _, (cleared,) = common_denominator([poly.coeffs])
+    content = None
+    for p in cleared:
+        if p:
+            content = p if content is None else gcd(content, p)
+    primitive = [xfrac.of(p.exact_div(content)) for p in cleared]
+    return Curve(Poly(yring, tuple(primitive)), const_field)
 
 
 def module_equal(a, b):

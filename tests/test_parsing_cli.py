@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 from algint.algfield import AlgElem
 from algint.cli import SCHEMA_CORPUS, SCHEMA_RESULT, main, run_record
 from algint.errors import (
+    AlgintError,
     DomainError,
     ExprSyntaxError,
     SuitabilityFailure,
@@ -22,9 +23,10 @@ from algint.parsing import MAX_EXPONENT, build_curve, build_element, field_for, 
 from algint.polyred import AdditiveDecomp
 from algint.rings import QQ, QT, POLY_X_QQ
 
-from conftest import curve_elements, small_fractions
+from conftest import curve_elements, reference_curve, small_fractions
 
 R = POLY_X_QQ
+ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
 # ---------------------------------------------------------------------------
@@ -116,6 +118,96 @@ def test_curve_must_involve_y():
         build_curve("1/y", QQ)  # y inside a denominator is rejected
     # y over an x-denominator is fine: clearing gives the line y = x
     assert build_curve("y/x - 1", QQ).m == build_curve("y - x", QQ).m
+
+
+# curve text -> (exit code, stderr) of `integrate --integrand y`; y has no
+# inverse in K(x)[y], so a divisor with y is refused even where it divides
+@pytest.mark.parametrize(
+    "curve, code, err",
+    [
+        ("x/y", 3, "DomainError: curve must be polynomial in y"),
+        ("y^2 - x*(y+1)^-1", 3, "DomainError: curve must be polynomial in y"),
+        ("(y^2-x^2)/(y-x)", 3, "DomainError: curve must be polynomial in y"),
+        ("y^2 - x/(y-y+2)", 3, "DomainError: curve must be polynomial in y"),
+        ("y^2 - x/(y-y)", 3, "DomainError: division by zero"),
+        ("y^2 - (x-x)^-1", 3, "DomainError: division by zero"),
+        ("y/x - 1", 0, ""),
+        ("x^2", 3, "DomainError: curve must involve y"),
+        ("y - y + x", 3, "DomainError: curve must involve y"),
+    ],
+)
+def test_curve_divisor_rule(capsys, curve, code, err):
+    assert main(["integrate", "--curve", curve, "--integrand", "y"]) == code
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == ([err] if err else [])
+    if code == 0:
+        assert "antiderivative = 1/2*x^2" in captured.out
+
+
+def _curve_outcome(build, text, field):
+    try:
+        curve = build(text, field)
+    except AlgintError as exc:
+        return type(exc).__name__, str(exc)
+    return curve.m, curve.lead
+
+
+# y-free factors that curve texts divide by and raise to negative powers
+_X_FACTORS = {
+    QQ: ["x", "(x - 1)", "(x + 2)", "(2*x^2 + 3)"],
+    QT: ["x", "t", "(x - t)", "(t*x + 1)", "(x^2 - t)"],
+}
+
+
+@st.composite
+def curve_texts(draw, field):
+    factors = st.sampled_from(_X_FACTORS[field])
+    terms = []
+    for _ in range(draw(st.integers(1, 4))):
+        parts = [str(draw(st.integers(-5, 5))), f"y^{draw(st.integers(0, 3))}"]
+        for _ in range(draw(st.integers(0, 2))):
+            parts.append(f"{draw(factors)}^{draw(st.integers(-2, 3))}")
+        if draw(st.booleans()):
+            parts.append(f"(y - {draw(factors)})^{draw(st.integers(1, 2))}")
+        term = "*".join(parts)
+        if draw(st.booleans()):
+            term += f"/{draw(factors)}"
+        terms.append(term)
+    text = " + ".join(terms)
+    if draw(st.booleans()):
+        text = f"({text})/{draw(factors)}^{draw(st.integers(1, 2))}"
+    return text
+
+
+@settings(max_examples=60)
+@given(st.data())
+def test_curve_matches_the_fraction_field_oracle(data):
+    field = data.draw(st.sampled_from([QQ, QT]))
+    text = data.draw(curve_texts(field))
+    assert _curve_outcome(build_curve, text, field) == _curve_outcome(
+        reference_curve, text, field
+    )
+
+
+def _record_curves():
+    pairs = set()
+    for path in (ROOT / "data" / "desk_corpus.jsonl", ROOT / "tests" / "data" / "seeded_curves.jsonl"):
+        for line in path.read_text().splitlines():
+            if line.strip() and not line.startswith("#"):
+                rec = json.loads(line)
+                field = field_for(
+                    [rec["curve"], rec["integrand"]],
+                    force_t=rec.get("mode") == "telescope",
+                )
+                pairs.add((rec["curve"], field))
+    return sorted(pairs, key=lambda pair: (pair[0], repr(pair[1])))
+
+
+@pytest.mark.parametrize("curve, field", _record_curves(), ids=str)
+def test_record_curve_matches_the_fraction_field_oracle(curve, field):
+    assert _curve_outcome(build_curve, curve, field) == _curve_outcome(
+        reference_curve, curve, field
+    )
 
 
 def test_curve_denominators_cleared():
@@ -365,6 +457,31 @@ def test_cli_verify_subcommand(capsys):
     assert "verified: yes" in out
 
 
+@pytest.mark.parametrize(
+    "curve, integrand",
+    [
+        ("y^2 - x*(x - 1)*(x - t)", "1/y"),
+        ("y^2 - x*(x - 1)*(x - t)", "1/y^3"),
+        ("y^3 - x^2 - t", "1/y"),
+        ("y^2 - x - t", "y"),
+    ],
+)
+def test_printed_telescoper_verifies_and_a_shifted_one_does_not(capsys, curve, integrand):
+    common = ["--curve", curve, "--integrand", integrand, "--format", "structured"]
+    assert main(["telescope", *common]) == 0
+    result = json.loads(capsys.readouterr().out)["result"]
+    coeffs = result["coefficients"]
+    # adding 1 to the D_t^0 coefficient adds f to L(f)
+    shifted = [f"({coeffs[0]}) + 1", *coeffs[1:]]
+    for telescoper, verified in ((coeffs, True), (shifted, False)):
+        argv = [
+            "verify", *common, "--telescoper", ", ".join(telescoper),
+            "--certificate", result["certificate"],
+        ]
+        assert main(argv) == 0
+        assert json.loads(capsys.readouterr().out)["result"] == {"verified": verified}
+
+
 def test_cli_verify_rejects_wrong_operator(capsys):
     rc = main([
         "verify", "--curve", "y^2 - x*(x - 1)*(x - t)", "--integrand", "1/y",
@@ -561,17 +678,32 @@ def test_chained_powers_associate_rightward(parabola):
     assert build_element("x^10^2", parabola) == build_element(f"x^{MAX_EXPONENT}", parabola)
 
 
+def test_powers_through_parentheses_admit_the_bound_itself(parabola):
+    x100 = build_element(f"x^{MAX_EXPONENT}", parabola)
+    assert build_element("(x^2)^50", parabola) == x100
+    assert build_element("(x^2)^-50", parabola) * x100 == parabola.one()
+    # a sibling factor keeps its own power; a product is not a power
+    assert build_element("(x^50 * -x)^2", parabola) == x100 * build_element("x^2", parabola)
+    assert build_element("x^100*x^100", parabola) == x100 * x100
+
+
 @pytest.mark.parametrize(
     "integrand, offset, message",
     [
         ("x^100^100", 2, "exponent exceeds 100"),
         ("x^2^7", 2, "exponent exceeds 100"),
         ("x^2^-1", 2, "'^' requires an integer exponent"),
+        ("(x^10)^11", 7, "exponent exceeds 100"),
+        ("(x^2)^51", 6, "exponent exceeds 100"),
+        ("(x^100)^100", 8, "exponent exceeds 100"),
+        ("((x^10)^10)^10*y", 12, "exponent exceeds 100"),
     ],
-    ids=["tower", "just-over", "fractional"],
+    ids=["tower", "just-over", "fractional", "group", "group-just-over",
+         "group-tower", "nested-groups"],
 )
 def test_chained_power_bounds_are_syntax_errors(parabola, capsys, integrand, offset, message):
-    # the chain is bounded as it is evaluated, so x^100^100 fails at once
+    # the chain, and the power of each name through its groups, are bounded
+    # as they are evaluated, so x^100^100 and (x^100)^100 fail at once
     # instead of building x^10000
     start = time.perf_counter()
     with pytest.raises(ExprSyntaxError) as err:
@@ -634,8 +766,6 @@ def test_corpus_continues_past_bad_records(capsys, tmp_path):
     assert [e["status"] for e in doc["entries"]] == ["error", "ok", "error"]
     assert doc["summary"] == {"total": 3, "ok": 1, "mismatch": 0, "error": 2}
 
-
-ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
