@@ -23,13 +23,11 @@ long as the interpreter converts to int (sys.get_int_max_str_digits(), 4300
 digits by default).
 
 The same parser serves both jobs, and both bind x, t and integer literals in
-K(x).  Curves bind y as the generator of the ring K(x)[y], which has no
-inverses, so a divisor or a negative power that involves y is refused with
-DomainError "curve must be polynomial in y".  Integrands bind y in the
-function field of an already-built curve, so their y-free subterms are
-evaluated in K(x) and lifted into it once, when they meet y.  A zero divisor
-raises DomainError: "division by zero" in a curve, "inversion of zero" in an
-integrand, as the function field itself reports.
+K(x).  Curves bind y in the ring K(x)[y], so a divisor or negative power with
+y is refused: "curve must be polynomial in y".  Integrands bind y in the
+function field of an already-built curve, which y-free subterms meet once.
+A zero divisor raises DomainError: "division by zero" in a curve, "inversion
+of zero" in an integrand, as the function field itself reports.
 """
 
 from __future__ import annotations
@@ -194,8 +192,7 @@ class _Parser:
             value = -self.factor()
             self.depth -= 1
             return value
-        # self.peak: the largest power that a name or literal of the
-        # enclosing group is raised to, through the groups around it
+        # peak: the largest power a name in this group gets through its groups
         outer, self.peak = self.peak, 1
         value = self.atom()
         chain = []  # (sign, literal, position) of each exponent, left to right
