@@ -17,6 +17,8 @@ normalization gcd(e, entries of M) = 1 still holds by minimality of e.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 from .errors import (
     CurveReducible,
     DomainError,
@@ -24,7 +26,7 @@ from .errors import (
     RankDeficient,
     SuitabilityFailure,
 )
-from .linalg import det, hnf_rows, inverse, mat, mat_mul, vec_mat
+from .linalg import char_poly, det, hnf_rows, inverse, mat, vec_mat
 from .rings import (
     QT,
     Poly,
@@ -119,6 +121,19 @@ class Curve:
             dy = self._dy[dcoeff] = (-m_d * self._inv_ypoly(self.m_y)) % self.m
         return dy
 
+    @cached_property
+    def power_discriminant(self):
+        """disc(1, y, ..., y^(n-1)) = det [p_(i+j)], cached: p_k = Tr(y^k)
+        is the k-th power sum of the roots of m = y^n + c_1*y^(n-1) + ...
+        + c_n, by Newton's identities p_k = -(k*c_k + sum_(i<k) c_i*p_(k-i))
+        with c_k = 0 for k > n."""
+        n, xf = self.n, self.xfrac
+        c = self.m.coeffs[::-1]
+        p = [xf.from_int(n)]
+        for k in range(1, 2 * n - 1):
+            own = c[k] * k if k <= n else xf.zero
+            p.append(-sum((c[i] * p[k - i] for i in range(1, min(k, n + 1))), own))
+        return det(mat([p[i : i + n] for i in range(n)]), xf)
 
 def _binomial_factor(y, n, p):
     """A factor of y^n - p over K(x), or None if it is irreducible.
@@ -286,39 +301,10 @@ class AlgElem:
             acc = (acc * y) % cur.m
         return mat(rows)
 
-    def trace(self):
-        mm = self.mult_matrix()
-        out = self.curve.xfrac.zero
-        for i in range(self.curve.n):
-            out = out + mm[i][i]
-        return out
-
     def char_poly(self):
-        """Characteristic polynomial of multiplication by self.
-
-        Returned as the coefficient list (c_1, ..., c_n) of
-        T^n + c_1 T^(n-1) + ... + c_n, computed by the trace-recursion
-        method (exact division by integers, valid in characteristic 0).
-        """
-        cur = self.curve
-        n = cur.n
-        F = cur.xfrac
-        mm = self.mult_matrix()
-        coeffs = []
-        mk = mm
-        for k in range(1, n + 1):
-            tr = F.zero
-            for i in range(n):
-                tr = tr + mk[i][i]
-            ck = -(tr / F.from_int(k))
-            coeffs.append(ck)
-            if k < n:
-                shifted = tuple(
-                    tuple(mk[i][j] + (ck if i == j else F.zero) for j in range(n))
-                    for i in range(n)
-                )
-                mk = mat_mul(mm, shifted)
-        return tuple(coeffs)
+        """Characteristic polynomial of multiplication by self, as the
+        coefficient tuple (c_1, ..., c_n) of linalg.char_poly."""
+        return char_poly(self.mult_matrix(), self.curve.xfrac)
 
     def is_integral(self):
         return all(c.is_polynomial for c in self.char_poly())
@@ -334,16 +320,6 @@ class AlgElem:
 
     def __repr__(self):
         return f"AlgElem({self.poly})"
-
-
-def discriminant(elements):
-    """det(Tr(w_i * w_j)) of a tuple of field elements, in K(x)."""
-    xfrac = elements[0].curve.xfrac
-    n = len(elements)
-    rows = [
-        [(elements[i] * elements[j]).trace() for j in range(n)] for i in range(n)
-    ]
-    return det(mat(rows), xfrac)
 
 
 class FieldBasis:

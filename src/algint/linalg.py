@@ -129,6 +129,22 @@ def det(a, field):
     return out
 
 
+def char_poly(a, field):
+    """Characteristic polynomial of the square matrix a, as the coefficient
+    tuple (c_1, ..., c_n) of T^n + c_1 T^(n-1) + ... + c_n, by the trace
+    recursion c_k = -tr(a*M_k)/k, M_(k+1) = a*M_k + c_k*I, M_1 = I (exact
+    division by integers, valid in characteristic 0)."""
+    n, mk, coeffs = len(a), a, []
+    for k in range(1, n + 1):
+        ck = -(sum((mk[i][i] for i in range(n)), field.zero) / field.from_int(k))
+        coeffs.append(ck)
+        if k < n:
+            shifted = [[c + ck if i == j else c for j, c in enumerate(row)]
+                       for i, row in enumerate(mk)]
+            mk = mat_mul(a, shifted)
+    return tuple(coeffs)
+
+
 def inverse(a, field):
     n = len(a)
     aug = [list(row) + [field.one if i == j else field.zero for j in range(n)]

@@ -8,8 +8,9 @@ infinity and then reduced modulo the image of the map
 
 which satisfies (1/a) * phi(p)*V = ((p/u) * p*V)' read row-wise, i.e. phi
 captures exactly the derivatives of elements with denominator bound u.  The
-complement of the image inside K[x]^n is spanned by finitely many
-monomials; a reduced remainder is zero iff the integrand was integrable.
+complement of the image inside K[x]^n is spanned by monomials below a bound
+read off the top coefficients of B (ComplementNV); a reduced remainder is
+zero iff the integrand was integrable.
 
 u is taken as b times the square part root of Disc(W), which bounds the
 denominators any antiderivative of the remainder can have.
@@ -18,13 +19,16 @@ denominators any antiderivative of the remainder can have.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import count
+from math import isqrt, lcm
 from typing import NamedTuple
 
-from .algfield import AlgElem, FieldBasis, discriminant, dt_coeff, dt_poly, scaled_powers
-from .errors import AlgintError, SuitabilityFailure
+from .algfield import AlgElem, FieldBasis, dt_coeff, dt_poly, scaled_powers
+from .errors import AlgintError, PreconditionError, SuitabilityFailure
 from .hermite import Presented, lazy_hermite_reduce, product_factors
-from .linalg import hnf_rows, mat_mul, vec_mat
+from .linalg import char_poly, det, hnf_rows, inverse, mat_mul, vec_mat
 from .rings import (
+    QT,
     Poly,
     common_denominator,
     gcd,
@@ -142,8 +146,10 @@ def _dvr_enlarge(vb, coords):
 
 def compute_u(basis, b):
     """Denominator bound for antiderivatives of remainders over this basis:
-    b times the square part root of the basis discriminant."""
-    disc = discriminant(basis.elements)
+    b times the square part root of the basis discriminant
+    disc(W) = det(trans)^2 * disc(1, y, ..., y^(n-1))."""
+    cur = basis.curve
+    disc = det(basis.trans, cur.xfrac) ** 2 * cur.power_discriminant
     if not disc.is_polynomial:
         raise AlgintError("discriminant of an integral basis must be polynomial")
     return (square_part_root(disc.as_poly()) * b).monic()
@@ -169,58 +175,96 @@ class PhiMap:
     bmat: tuple
 
 
-# Build schedule of the image complement: ensure_stable feeds generators up
-# to degree COMPLEMENT_INITIAL_CAP (further if the stabilization margin
-# needs it), then COMPLEMENT_STEP more degrees per round until the
-# complement is stable, and gives up past degree COMPLEMENT_HARD_CAP.
-COMPLEMENT_INITIAL_CAP = 8
-COMPLEMENT_STEP = 4
-COMPLEMENT_HARD_CAP = 600
+def integer_roots(coeffs, field):
+    """The integer roots, ascending, of T^n + c_1*T^(n-1) + ... + c_n over
+    K = QQ or QQ(t), coeffs = (c_1, ..., c_n).  Over QQ(t) an integer root
+    is one of every specialisation of t, so the candidates come from one
+    over QQ: by the rational root test they divide the last nonzero
+    coefficient cleared to integers, and are at most the Cauchy bound
+    1 + max |c_i|.  The candidates that vanish exactly in K are kept."""
+    spec = list(coeffs)
+    if field == QT:
+        t0 = next(t for t in count() if all(_value(c.den.coeffs, t) for c in spec))
+        spec = [_value(c.num.coeffs, t0) / _value(c.den.coeffs, t0) for c in spec]
+    cands = {0}
+    while spec and not spec[-1]:
+        spec.pop()
+    if spec:
+        low = int(abs(spec[-1] * lcm(*(c.denominator for c in spec))))
+        bound = int(1 + max(abs(c) for c in spec))
+        for d in range(1, min(isqrt(low), bound) + 1):
+            if low % d == 0:
+                cands.update(r for r in (d, -d, low // d, -low // d) if abs(r) <= bound)
+    ascending = tuple(coeffs[::-1]) + (field.one,)
+    return sorted(r for r in cands if not _value(ascending, r, field.zero))
+
+
+def _value(coeffs, v, zero=0):
+    """The value at v of the polynomial with ascending coefficients coeffs."""
+    return sum((c * v**k for k, c in enumerate(coeffs)), zero)
 
 
 class ComplementNV:
-    """Standard complement of im(phi) inside K[x]^n.
+    """Standard complement of im(phi) inside K[x]^n, up to a proved bound.
 
-    Generators u^2*phi(x^s e_i) are fed in by increasing degree s.  Those
-    combinations that vanish modulo u^2 are u^2 times an image row; these
-    rows form an echelon by leading monomial under the graded order
-    (degree, component), and the monomials that never become leading terms
-    span the complement.  Each echelon row keeps the preimage polynomial
-    row that maps onto it.
+    The lemma.  Let a and u be monic, deg B < deg a (V is suitable at
+    infinity), delta = deg a - deg u - 1, B_top the coefficient matrix of
+    x^(deg a - 1) in B and N(s) = (s - deg u)*I + B_top, singular iff
+    deg u - s is an eigenvalue of B_top.  A row p of degree s
+    with top coefficients c has phi(p) of top part c*N(s) at degree
+    s + delta.  Let s* = max(2 deg u, 1 + the largest integer s >= 0 with
+    det N(s) = 0).  For s >= s*, (1) the rows phi(u^2*x^r*e_i) =
+    a*(u*x^r)'*e_i + u*x^r*B_i, r = s - 2 deg u, are polynomial with the
+    rows of the invertible N(s) as top parts, so every monomial of degree
+    >= s* + delta is a lead; (2) an image row phi(p) with deg p = s has a
+    lead of degree s + delta.  So the generators of degree < s* give every
+    lead below s* + delta, the complement is frozen at s* + delta - 1, and
+    reduce uses (1) above it.
 
-    With the fixed rows A = a*u and P_i = u*B_i - a*u'*e_i,
-
-        u^2 * phi(x^s e_i) = s*x^(s-1)*A*e_i + x^s*P_i.
-
-    Every polynomial g of a generator is kept as a pair (Q, R) with
-    g = Q*u^2 + R and deg R < 2 deg u.  One degree up is a shift,
-    x*g = (x*Q + c)*u^2 + (x*R - c*u^2), where c is the coefficient of
-    x^(2 deg u - 1) in R (u is monic); for u = 1, R is zero.  Elimination
-    runs on the R rows and carries the Q rows along, so a combination whose
-    R rows vanish hands its Q rows on as the image row, and no generator
-    costs a polynomial product or a division by u^2.
+    The feed.  Generators u^2*phi(x^s e_i) = s*x^(s-1)*A*e_i + x^s*P_i,
+    with A = a*u and P_i = u*B_i - a*u'*e_i, come in by increasing s.
+    Each polynomial g of one is kept as a pair (Q, R), g = Q*u^2 + R with
+    deg R < 2 deg u, and x*g = (x*Q + c)*u^2 + (x*R - c*u^2) for c the
+    coefficient of x^(2 deg u - 1) in R (u is monic), so no generator
+    costs a product or a division by u^2.  Elimination runs on the R rows
+    and carries the Q rows along.  A combination whose R rows vanish gives
+    its Q rows as an image row; these form an echelon by lead monomial
+    under the order (degree, component), each with the preimage row that
+    maps onto it.  A combination whose Q rows vanish too is a kernel row
+    of phi ((p/u)*V constant, as for u*coords_V(1)); all have degree < s*
+    by (2), and they are kept, since p1 is unique only up to them.
     """
 
     def __init__(self, phi, n, field):
+        u, a = phi.u, phi.a
+        if u.lc != field.one or a.lc != field.one or _max_deg(phi.bmat) >= a.degree:
+            raise PreconditionError("complement needs u and a monic, deg B < deg a")
         self.phi = phi
         self.n = n
         self.field = field
-        self.ring = phi.u.ring
+        self.ring = u.ring
         self.leads = {}
         self._residue = []
-        self._ulen = 2 * phi.u.degree
-        self._usq = phi.u * phi.u
-        u, a = phi.u, phi.a
+        self._kernel = []
+        self._ulen = 2 * u.degree
+        self._usq = u * u
+        self._delta = a.degree - u.degree - 1
         aup = a * u.derivative()
+        ub = [[u * b for b in row] for row in phi.bmat]
         # the pairs of x^(s-1)*A and of the rows x^s*P_i for the next s fed
         self._a_pair = divmod(a * u, self._usq)
         self._p_rows = [
-            [divmod(u * b - aup if i == j else u * b, self._usq) for j, b in enumerate(row)]
-            for i, row in enumerate(phi.bmat)
+            [divmod(p - aup if i == j else p, self._usq) for j, p in enumerate(row)]
+            for i, row in enumerate(ub)
         ]
+        # phi(u^2*x^r*e_i) = x^r*F_i + r*x^(r-1)*A*e_i, F_i = u*B_i + a*u'*e_i
+        self._f_rows = [
+            [(p + aup if i == j else p).coeffs for j, p in enumerate(row)]
+            for i, row in enumerate(ub)
+        ]
+        self._btop = [[p.coeff(a.degree - 1) for p in row] for row in phi.bmat]
         self._built = -1
         self._frozen = None
-        self._stable = False
 
     # -- generator feed
 
@@ -263,28 +307,19 @@ class ComplementNV:
                 res = [a - scale * b for a, b in zip(res, entry["res"])]
                 quo = [a - scale * b for a, b in zip(quo, entry["quo"])]
                 preim = [a - scale * b for a, b in zip(preim, entry["preim"])]
-        pivot = None
-        for j in range(self.n):
-            for k in range(self._ulen):
-                if res[j].coeff(k) != self.field.zero:
-                    pivot = (j, k)
-                    break
-            if pivot:
-                break
+        nonzero = ((j, k) for j, r in enumerate(res) for k, c in enumerate(r.coeffs) if c)
+        pivot = next(nonzero, None)
         if pivot is None:
-            if any(quo):
-                self._insert_intersection(tuple(quo), tuple(preim))
+            self._insert_intersection(tuple(quo), tuple(preim))
             return
-        self._residue.append(
-            {"res": res, "quo": quo, "preim": preim, "pivot": pivot}
-        )
+        self._residue.append({"res": res, "quo": quo, "preim": preim, "pivot": pivot})
 
     def _insert_intersection(self, w, pre):
-        row = list(w)
-        preim = list(pre)
+        row, preim = list(w), list(pre)
         while True:
             lead = self._lead_monomial(row)
             if lead is None:
+                self._kernel.append((self._lead_monomial(preim), preim))
                 return
             hit = self.leads.get(lead)
             if hit is None:
@@ -292,65 +327,55 @@ class ComplementNV:
             c = row[lead[1]].coeff(lead[0])
             row = [a - c * b for a, b in zip(row, hit["row"])]
             preim = [a - c * b for a, b in zip(preim, hit["preim"])]
-        k, j = lead
-        c = row[j].coeff(k)
-        inv = self.field.one / c
-        row = [inv * p for p in row]
-        preim = [inv * p for p in preim]
-        if self._frozen is not None and k <= self._frozen:
-            raise AlgintError(
-                "complement stabilization violated: new lead at degree "
-                f"{k} below frozen bound {self._frozen}"
-            )
-        self.leads[(k, j)] = {"row": row, "preim": preim}
+        inv = self.field.one / row[lead[1]].coeff(lead[0])
+        row, preim = [inv * p for p in row], [inv * p for p in preim]
+        self.leads[lead] = {"row": row, "preim": preim}
 
     def _lead_monomial(self, row):
-        best = None
-        for j, p in enumerate(row):
-            if p:
-                cand = (p.degree, j)
-                if best is None or cand > best:
-                    best = cand
-        return best
+        return max(((p.degree, j) for j, p in enumerate(row) if p), default=None)
 
-    # -- stabilization
-
-    def _margin(self):
-        return max(self.phi.a.degree, _max_deg(self.phi.bmat), 0) + self._ulen + 1
-
-    def _covered(self, k):
-        return all((k, j) in self.leads for j in range(self.n))
+    # -- the bound
 
     def ensure_stable(self):
-        if self._stable:
+        """Feed the generators of degree < s* and freeze the complement at
+        s* + delta - 1."""
+        if self._frozen is not None:
             return
-        margin = self._margin()
-        target = max(COMPLEMENT_INITIAL_CAP, margin + 1)
-        while True:
-            while self._built < target:
-                self._feed()
-            maxlead = max((k for k, _ in self.leads), default=-1)
-            maxstd = -1
-            for k in range(maxlead, -1, -1):
-                if not self._covered(k):
-                    maxstd = k
-                    break
-            window_ok = maxlead >= maxstd + margin and all(
-                self._covered(k) for k in range(maxstd + 1, maxstd + margin + 1)
-            )
-            if window_ok and target >= maxstd + 2 * margin:
-                self._frozen = maxstd
-                self._stable = True
-                return
-            target += COMPLEMENT_STEP
-            if target > COMPLEMENT_HARD_CAP:
-                raise AlgintError("complement build exceeded its hard cap")
-
-    def ensure_cover(self, degree):
-        self.ensure_stable()
-        margin = self._margin()
-        while self._built < degree + margin:
+        du = self.phi.u.degree
+        eigen = integer_roots(char_poly(self._btop, self.field), self.field)
+        s_star = max([self._ulen] + [du - r + 1 for r in eigen if du - r >= 0])
+        while self._built < s_star - 1:
             self._feed()
+        self._frozen = s_star + self._delta - 1
+
+    def _reduce_above(self, row):
+        """(p, q) with row = phi(p) + q and deg q < s* + delta, by (1) from
+        the top degree down on dense coefficient lists, so that each degree
+        costs one solve against N(s) and a fixed number of field operations:
+        p = u^2 * sum c_(i,r)*x^r*e_i."""
+        top, bound = _max_deg([row]), max(self._frozen + 1, 0)
+        zero = self.field.zero
+        q = [list(p.coeffs) + [zero] * (top + 1 - len(p.coeffs)) for p in row]
+        pre = [[zero] * (top - self._delta - self._ulen + 1) for _ in range(self.n)]
+        au = (self.phi.a * self.phi.u).coeffs
+        for k in range(top, bound - 1, -1):
+            vec = [qj[k] for qj in q]
+            if not any(vec):
+                continue
+            s = k - self._delta
+            r = s - self._ulen
+            lam = self.field.from_int(s - self.phi.u.degree)
+            nmat = [[c + lam if i == j else c for j, c in enumerate(brow)]
+                    for i, brow in enumerate(self._btop)]
+            for i, c in enumerate(vec_mat(vec, inverse(nmat, self.field))):
+                if c:
+                    pre[i][r] = c
+                    for qj, f in zip(q, self._f_rows[i]):
+                        _subtract(qj, r, c, f)
+                    if r:
+                        _subtract(q[i], r - 1, c * r, au)
+        ring = self.ring
+        return [self._usq * Poly(ring, c) for c in pre], [Poly(ring, qj) for qj in q]
 
     # -- public views
 
@@ -358,45 +383,43 @@ class ComplementNV:
         """Monomials (degree, component) spanning the complement, sorted;
         the tests compare complements by them."""
         self.ensure_stable()
-        out = []
-        for k in range(self._frozen + 1):
-            for j in range(self.n):
-                if (k, j) not in self.leads:
-                    out.append((k, j))
-        return tuple(out)
+        monos = ((k, j) for k in range(self._frozen + 1) for j in range(self.n))
+        return tuple(m for m in monos if m not in self.leads)
 
     def reduce(self, row):
         """Split a row of K[x]^n into its image and complement parts.
 
         Returns (p1, q2) with row = phi(p1) + q2, where phi(p1) lies in
-        K[x]^n and q2 is supported on standard monomials.
+        K[x]^n, q2 is supported on standard monomials, and p1 is 0 at the
+        lead monomial of every kernel row of phi (which makes it unique).
         """
         self.ensure_stable()
-        q = list(row)
-        p1 = [self.ring.zero] * self.n
+        p1, q = self._reduce_above(row)
         q2 = [self.ring.zero] * self.n
         while True:
             lead = self._lead_monomial(q)
             if lead is None:
                 break
-            k, j = lead[0], lead[1]
-            if k > self._built - self._margin():
-                self.ensure_cover(k)
-            hit = self.leads.get((k, j))
+            k, j = lead
+            hit = self.leads.get(lead)
             c = q[j].coeff(k)
             if hit is None:
-                if self._frozen is not None and k > self._frozen:
-                    raise AlgintError(
-                        f"unreduced monomial x^{k} (component {j}) above the "
-                        "stabilized complement"
-                    )
                 mono = self.ring.monomial(c, k)
                 q2[j] = q2[j] + mono
                 q[j] = q[j] - mono
                 continue
             q = [a - c * b for a, b in zip(q, hit["row"])]
             p1 = [a + c * b for a, b in zip(p1, hit["preim"])]
+        for (k, j), kappa in sorted(self._kernel, reverse=True):
+            c = p1[j].coeff(k) / kappa[j].coeff(k)
+            p1 = [a - c * b for a, b in zip(p1, kappa)]
         return tuple(p1), tuple(q2)
+
+
+def _subtract(dst, at, c, coeffs):
+    """dst -= c * x^at * coeffs on a dense coefficient list."""
+    for d, v in enumerate(coeffs):
+        dst[at + d] = dst[at + d] - c * v
 
 
 @dataclass(frozen=True)

@@ -6,8 +6,9 @@ from hypothesis import HealthCheck, settings, strategies as st
 
 from algint.algfield import Curve, FieldBasis, power_basis
 from algint.errors import DomainError
-from algint.linalg import transpose, vec_mat
+from algint.linalg import det, mat, transpose, vec_mat
 from algint.parsing import build_curve, build_element, parse_expression
+from algint.polyred import ComplementNV, _max_deg
 from algint.rings import (
     QQ, QT, POLY_X_QQ, RAT_X_QQ, T_POLY, FracField, Poly, PolyRing,
     common_denominator, gcd, x_frac_field, x_poly_ring,
@@ -191,14 +192,16 @@ def apply_tilde(phi, row):
 
 
 def complement_is_final(comp, extra=24):
-    """Build comp far past its frozen bound; True if that adds no standard
-    monomial and the top monomial rows built still reduce onto the old
-    standard monomials."""
+    """Feed comp's generators extra degrees past its bound; True if that
+    adds no standard monomial and the monomial rows extra degrees past the
+    frozen bound still reduce onto the old standard monomials."""
     before = comp.standard_monomials()
-    top = max((k for k, _ in before), default=-1) + extra
-    comp.ensure_cover(top)
+    stop = comp._built + extra
+    while comp._built < stop:
+        comp._feed()
     if comp.standard_monomials() != before:
         return False
+    top = comp._frozen + extra
     ring = comp.ring
     for j in range(comp.n):
         row = [ring.zero] * comp.n
@@ -208,6 +211,95 @@ def complement_is_final(comp, extra=24):
             if any(p.coeff(d) and (d, i) not in before for d in range(p.degree + 1)):
                 return False
     return True
+
+
+def trace(f):
+    """Tr(f), the trace of multiplication by the field element f."""
+    mm = f.mult_matrix()
+    return sum((mm[i][i] for i in range(1, len(mm))), mm[0][0])
+
+
+def discriminant(elements):
+    """det(Tr(w_i * w_j)) of a tuple of field elements, in K(x): the trace
+    form, an oracle for compute_u's det(trans)^2 * disc(1, y, ..., y^(n-1))."""
+    xfrac = elements[0].curve.xfrac
+    n = len(elements)
+    rows = [
+        [trace(elements[i] * elements[j]) for j in range(n)] for i in range(n)
+    ]
+    return det(mat(rows), xfrac)
+
+
+class _ReferenceComplement(ComplementNV):
+    """ComplementNV on the window schedule it had before its proved bound:
+    feed generators to degree 8 (further if the margin needs it), then 4
+    more per round until the margin above the largest standard monomial is
+    covered by leads, and give up past degree 600; reduce feeds on to the
+    degree of each lead plus the margin and uses the echelon alone."""
+
+    def _margin(self):
+        return max(self.phi.a.degree, _max_deg(self.phi.bmat), 0) + self._ulen + 1
+
+    def _covered(self, k):
+        return all((k, j) in self.leads for j in range(self.n))
+
+    def ensure_stable(self):
+        if self._frozen is not None:
+            return
+        margin = self._margin()
+        target = max(8, margin + 1)
+        while True:
+            while self._built < target:
+                self._feed()
+            maxlead = max((k for k, _ in self.leads), default=-1)
+            maxstd = -1
+            for k in range(maxlead, -1, -1):
+                if not self._covered(k):
+                    maxstd = k
+                    break
+            window_ok = maxlead >= maxstd + margin and all(
+                self._covered(k) for k in range(maxstd + 1, maxstd + margin + 1)
+            )
+            if window_ok and target >= maxstd + 2 * margin:
+                self._frozen = maxstd
+                return
+            target += 4
+            assert target <= 600, "complement build exceeded its hard cap"
+
+    def ensure_cover(self, degree):
+        self.ensure_stable()
+        while self._built < degree + self._margin():
+            self._feed()
+
+    def reduce(self, row):
+        self.ensure_stable()
+        q = list(row)
+        p1 = [self.ring.zero] * self.n
+        q2 = [self.ring.zero] * self.n
+        while True:
+            lead = self._lead_monomial(q)
+            if lead is None:
+                break
+            k, j = lead
+            if k > self._built - self._margin():
+                self.ensure_cover(k)
+            hit = self.leads.get(lead)
+            c = q[j].coeff(k)
+            if hit is None:
+                assert k <= self._frozen, "unreduced monomial above the complement"
+                mono = self.ring.monomial(c, k)
+                q2[j] = q2[j] + mono
+                q[j] = q[j] - mono
+                continue
+            q = [a - c * b for a, b in zip(q, hit["row"])]
+            p1 = [a + c * b for a, b in zip(p1, hit["preim"])]
+        return tuple(p1), tuple(q2)
+
+
+def reference_complement(phi, n, field):
+    """The image complement of phi built on the window schedule, an oracle
+    for ComplementNV's proved bound."""
+    return _ReferenceComplement(phi, n, field)
 
 
 # Curves whose start bases need repairs: the power basis of the first two has

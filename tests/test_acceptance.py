@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import pytest
 
-from algint.algfield import FieldBasis, discriminant, initial_suitable_basis
+from algint.algfield import FieldBasis, initial_suitable_basis
 from algint.cli import main as cli_main, run_record
 from algint.errors import AlgintError, CurveReducible
 from algint.hermite import basis_update, hermite_step, lazy_hermite_reduce, present
@@ -23,7 +23,7 @@ from algint.polyred import Decomposer
 from algint.rings import QQ, QT, POLY_X_QQ, squarefree_decomposition
 from algint.telescoper import telescope, verify_telescoper
 
-from conftest import complement_is_final, module_equal
+from conftest import complement_is_final, discriminant, module_equal, trace
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 R = POLY_X_QQ
@@ -221,7 +221,7 @@ def _eval_poly(poly, value):
 
 def _trace_residue(f, a):
     """Residue of Tr(f) at x = a, via ((x - a) * Tr f)(a); exact."""
-    tr = f.trace()
+    tr = trace(f)
     shifted = tr * f.curve.xfrac.of(R.poly([-a, Fraction(1)]))
     den_val = _eval_poly(shifted.den, a)
     if not den_val:

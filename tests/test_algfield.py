@@ -1,6 +1,8 @@
 """Function-field elements, bases, derivations, and integrality tests."""
+import json
 import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,24 +11,27 @@ from algint.algfield import (
     AlgElem,
     Curve,
     FieldBasis,
-    discriminant,
     initial_suitable_basis,
     power_basis,
 )
 from algint.errors import CurveReducible, DomainError, PreconditionError, RankDeficient
+from algint.linalg import det
 from algint.parsing import build_curve, build_element
 from algint.rings import QQ, QT, POLY_X_QQ, RAT_X_QQ, T_POLY, PolyRing, is_squarefree
 
 from conftest import (
     count_calls,
     curve_elements,
+    discriminant,
     elem,
     module_equal,
     polys_over_qq,
     small_fractions,
+    trace,
 )
 
 R = POLY_X_QQ
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def P(*coeffs):
@@ -326,7 +331,7 @@ def test_char_poly_quadratic_formula(parabola, a, b):
     c1, c2 = f.char_poly()
     assert c1 == -(xr.coerce(2 * a))
     assert c2 == xr.coerce(a * a) - xr.coerce(b * b) * xr.gen
-    assert f.trace() == xr.coerce(2 * a)
+    assert trace(f) == xr.coerce(2 * a)
 
 
 @settings(max_examples=10)
@@ -347,7 +352,7 @@ def test_trace_is_linear(parabola):
     y = parabola.gen()
     x = parabola.from_x(parabola.xfrac.gen)
     f, g = x + y, x * y
-    assert (f + g).trace() == f.trace() + g.trace()
+    assert trace(f + g) == trace(f) + trace(g)
 
 
 # ---------------------------------------------------------------------------
@@ -398,6 +403,27 @@ def test_discriminant_transform_rule(parabola, q):
     base = discriminant((one, y))
     assert discriminant((one, y + qx * one)) == base
     assert discriminant((one, x * y)) == parabola.xfrac.gen ** 2 * base
+
+
+def _corpus_curves():
+    """(curve, field) of every desk-corpus and seeded curve, once each."""
+    out = {}
+    for name in ("data/desk_corpus.jsonl", "tests/data/seeded_curves.jsonl"):
+        for line in (ROOT / name).read_text().splitlines():
+            if line.strip() and not line.startswith("#"):
+                rec = json.loads(line)
+                out[rec["curve"]] = QT if rec["mode"] == "telescope" else QQ
+    return sorted(out.items())
+
+
+@pytest.mark.parametrize("text, field", _corpus_curves())
+def test_newton_sum_discriminant_is_the_trace_form(text, field):
+    # compute_u's disc(W) = det(trans)^2 * disc(1, y, ..., y^(n-1)), the
+    # second factor from Newton's identities, against the trace form
+    curve = build_curve(text, field)
+    for basis in (power_basis(curve), initial_suitable_basis(curve)):
+        newton = det(basis.trans, curve.xfrac) ** 2 * curve.power_discriminant
+        assert newton == discriminant(basis.elements)
 
 
 # ---------------------------------------------------------------------------

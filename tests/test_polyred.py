@@ -6,13 +6,15 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from algint.algfield import AlgElem, FieldBasis, discriminant
+from algint.algfield import AlgElem, FieldBasis
 from algint.hermite import lazy_hermite_reduce
 from algint.parsing import build_curve, build_element
 from algint import polyred
+from algint.errors import PreconditionError
 from algint.polyred import (
     ComplementNV,
     Decomposer,
+    PhiMap,
     _repair_at_infinity,
     _suitable_at_inf,
     _val_inf,
@@ -20,16 +22,18 @@ from algint.polyred import (
     antiderivative,
     compute_u,
     euclid_split,
+    integer_roots,
     start_at_infinity,
     suitable_at_infinity,
 )
-from algint.rings import QQ, QT, POLY_X_QQ, gcd
+from algint.rings import QQ, QT, POLY_X_QQ, POLY_X_QT, T_POLY, gcd
 
 from conftest import (
     apply_tilde,
     complement_is_final,
     curve_elements,
     elem,
+    reference_complement,
     small_fractions,
 )
 
@@ -263,8 +267,8 @@ def test_complement_standard_monomials_frozen(parabola):
 
 
 def test_complement_dimension_schedule_independent(parabola, cusp, trefoil):
-    # the build schedule stops at the first stable degree; building on from
-    # there must not change the complement it froze
+    # feeding generators past the proved bound must not change the
+    # complement frozen there
     for curve in (parabola, cusp, trefoil):
         dec = Decomposer(curve)
         u = P(1, 0, 1)
@@ -366,6 +370,172 @@ def test_complement_constant_u(parabola):
     comp = dec.complement(R.one, inf.e)
     ok, _ = _reduce_identity_holds(parabola, comp, inf, (P(3, 1, 4), P(1, 5)))
     assert ok
+
+
+# ---------------------------------------------------------------------------
+# the proved bound of the complement
+
+T = QT.of(T_POLY.gen)
+
+
+def _qt(c):
+    return QT.coerce(Fraction(c))
+
+
+@pytest.mark.parametrize(
+    "coeffs, field, roots",
+    [
+        ((Fraction(-5),), QQ, [5]),
+        ((Fraction(-11, 2), Fraction(15, 2)), QQ, [3]),  # (T - 3)(T - 5/2)
+        ((Fraction(5, 2), Fraction(3, 2), Fraction(0), Fraction(0)), QQ, [-1, 0]),
+        ((Fraction(0), Fraction(1)), QQ, []),  # T^2 + 1
+        ((Fraction(1, 2),), QQ, []),
+        ((Fraction(-12), Fraction(0), Fraction(0)), QQ, [0, 12]),
+        ((-T,), QT, []),  # T - t: an integer at t = 0 only
+        ((T - 3, -3 * T), QT, [3]),  # (T + t)(T - 3)
+        ((_qt(-7), _qt(10)), QT, [2, 5]),
+        ((-T - 1, T), QT, [1]),  # (T - 1)(T - t)
+        ((1 / (T + 1),), QT, []),
+    ],
+)
+def test_integer_roots(coeffs, field, roots):
+    assert integer_roots(coeffs, field) == roots
+
+
+def _hand_made(btop_diag, u, a_degree, field=QQ):
+    """A complement over field for phi with u, a = x^a_degree and the
+    diagonal B whose top part is btop_diag at x^(a_degree - 1), plus the
+    constants below it."""
+    ring = POLY_X_QQ if field == QQ else POLY_X_QT
+    top = ring.monomial(field.one, a_degree - 1)
+    bmat = tuple(
+        tuple(top.scale(c) + ring.from_int(i + 1) if i == j else ring.zero
+              for j in range(len(btop_diag)))
+        for i, c in enumerate(btop_diag)
+    )
+    a = ring.monomial(field.one, a_degree)
+    return ComplementNV(PhiMap(u=u, a=a, bmat=bmat), len(btop_diag), field)
+
+
+@pytest.mark.parametrize(
+    "btop_diag, u, field, s_star",
+    [
+        ((Fraction(-5), Fraction(1, 2)), P(1, 1), QQ, 7),  # root 5 + deg u = 6
+        ((Fraction(-1, 3), Fraction(2)), P(1, 1), QQ, 2),  # no root: 2 deg u
+        ((Fraction(0), Fraction(7)), R.one, QQ, 1),  # root s = 0 only
+        ((-T, _qt(-4)), POLY_X_QT.gen + POLY_X_QT.one, QT, 6),  # t is no integer
+    ],
+    ids=["root-above-deg-u", "no-root", "u-one", "over-qt"],
+)
+def test_complement_bound_on_hand_made_top_matrix(btop_diag, u, field, s_star):
+    comp = _hand_made(btop_diag, u, 3, field)
+    comp.ensure_stable()
+    delta = comp.phi.a.degree - u.degree - 1
+    assert comp._built == s_star - 1
+    assert comp._frozen == s_star + delta - 1
+    assert all(k <= comp._frozen for k, _ in comp.leads)
+    assert complement_is_final(comp)
+    ring = comp.ring
+    usq = u * u
+    monos = set(comp.standard_monomials())
+    for top in (comp._frozen + 1, comp._frozen + 5, 30):
+        row = (ring.monomial(field.one, top), ring.monomial(field.from_int(2), top - 1))
+        p1, q2 = comp.reduce(row)
+        lhs = tuple(usq * (r - q) for r, q in zip(row, q2))
+        assert apply_tilde(comp.phi, p1) == lhs
+        assert all(
+            (k, j) in monos for j, q in enumerate(q2) for k in range(q.degree + 1) if q.coeff(k)
+        )
+
+
+def test_complement_needs_monic_u_and_a_and_deg_b_below_deg_a():
+    row = ((P(0, 0, 1), R.zero), (R.zero, R.zero))
+    with pytest.raises(PreconditionError):
+        ComplementNV(PhiMap(u=R.one, a=P(0, 0, 1), bmat=row), 2, QQ)
+    with pytest.raises(PreconditionError):
+        ComplementNV(PhiMap(u=P(1, 2), a=P(0, 0, 0, 1), bmat=row), 2, QQ)
+
+
+def test_kernel_row_is_u_times_coords_of_one_and_p1_avoids_its_lead(parabola):
+    dec = Decomposer(parabola)
+    inf = dec.inf_basis
+    u = P(1, 0, 1)
+    comp = dec.complement(u, inf.e * u)
+    comp.ensure_stable()
+    assert len(comp._kernel) == 1
+    (k, j), kappa = comp._kernel[0]
+    assert not any(apply_tilde(comp.phi, kappa))
+    # (kappa/u)*V is a nonzero constant: kappa is u*coords_V(1) up to scale
+    value = inf.element(u, kappa).poly
+    assert value.degree == 0
+    assert value.lc.num.degree == 0 and value.lc.den.degree == 0
+    for top in range(12):
+        for comp_j in range(2):
+            row = [R.zero, R.zero]
+            row[comp_j] = R.monomial(Fraction(1), top)
+            p1, _ = comp.reduce(tuple(row))
+            assert not p1[j].coeff(k)
+
+
+def _oracle_cases():
+    """(label, record) for the complements decompose builds on the desk and
+    seeded curves, and for u = x^2 + 1 on the criterion-8 curves."""
+    seeded = (ROOT / "tests" / "data" / "seeded_curves.jsonl").read_text().splitlines()
+    out = [(rec["name"], rec) for rec in _desk_records()]
+    for line in seeded:
+        rec = json.loads(line) if line.strip() and not line.startswith("#") else {}
+        if rec.get("mode") == "decompose":
+            out.append((rec["name"], rec))
+    for text, field in (("y^2 - x", QQ), ("y^2 - x^3", QQ),
+                        ("y^3 - 3*x^2*y + 2*x^3 + x^2", QQ),
+                        ("y^2 - x*(x - 1)*(x - t)", QT)):
+        out.append((f"{text} u=x^2+1", {"curve": text, "field": field}))
+    return out
+
+
+_ORACLE_CACHE = {}
+
+
+def _oracle_pairs(label, rec):
+    """Each complement of the case with its reference, built once."""
+    hit = _ORACLE_CACHE.get(label)
+    if hit is None:
+        if "field" in rec:
+            curve = build_curve(rec["curve"], rec["field"])
+            dec = Decomposer(curve)
+            u = curve.xring.poly([curve.field.one, curve.field.zero, curve.field.one])
+            comps = [dec.complement(u, dec.inf_basis.e * u)]
+        else:
+            field = QT if rec["mode"] == "telescope" else QQ
+            curve = build_curve(rec["curve"], field)
+            dec = Decomposer(curve)
+            dec.decompose(build_element(rec["integrand"], curve))
+            comps = list(dec._complements.values())
+        hit = _ORACLE_CACHE[label] = [
+            (comp, reference_complement(comp.phi, comp.n, comp.field)) for comp in comps
+        ]
+    return hit
+
+
+_ORACLE_CASES = dict(_oracle_cases())
+
+
+@pytest.mark.parametrize("label", sorted(_ORACLE_CASES))
+@settings(max_examples=4)
+@given(data=st.data())
+def test_complement_agrees_with_window_schedule(label, data):
+    for comp, ref in _oracle_pairs(label, _ORACLE_CASES[label]):
+        assert comp.standard_monomials() == ref.standard_monomials()
+        assert ref._frozen <= comp._frozen
+        ring, field = comp.ring, comp.field
+        terms = data.draw(st.lists(
+            st.tuples(st.integers(0, comp.n - 1), st.integers(0, 40), small_fractions),
+            min_size=1, max_size=5,
+        ))
+        row = [ring.zero] * comp.n
+        for j, k, c in terms:
+            row[j] = row[j] + ring.monomial(field.coerce(c), k)
+        assert comp.reduce(tuple(row)) == ref.reduce(tuple(row))
 
 
 # ---------------------------------------------------------------------------
