@@ -422,8 +422,8 @@ def _repair_suitability(basis):
     p the first repeated factor of e by (degree, str) and M_i the first
     such row; the integrality oracle checks it once.
     """
-    _, factors = squarefree_decomposition(basis.e)
-    p = min((p for p, mult in factors if mult >= 2), key=lambda p: (p.degree, str(p)))
+    repeated = [p for p, mult in squarefree_decomposition(basis.e) if mult >= 2]
+    p = min(repeated, key=lambda p: (p.degree, str(p)))
     row = next(row for row in basis.mmat if any(a % p for a in row))
     theta = basis.element(p, row)
     if not theta.is_integral() or basis.member(theta):

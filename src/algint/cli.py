@@ -116,11 +116,18 @@ def _cmd_telescope(args):
 
 
 def _parse_coeffs(text):
+    """The comma-separated coefficients of --telescoper; the offset of a
+    syntax error counts in the whole argument."""
     names = {"t": QT.of(T_POLY.gen)}
-    return tuple(
-        parse_expression(piece.strip(), names, QT.from_int)
-        for piece in text.split(",")
-    )
+    coeffs, start = [], 0
+    for piece in text.split(","):
+        try:
+            coeffs.append(parse_expression(piece, names, QT.from_int))
+        except ExprSyntaxError as exc:
+            exc.position += start
+            raise
+        start += len(piece) + 1
+    return tuple(coeffs)
 
 
 def _cmd_verify(args):

@@ -67,8 +67,11 @@ class ExprSyntaxError(AlgintError):
     """Rejected input text; `position` is the 0-based offset of the problem."""
 
     def __init__(self, message, position):
-        super().__init__(f"{message} (at offset {position})")
+        super().__init__(message)
         self.position = position
+
+    def __str__(self):
+        return f"{self.args[0]} (at offset {self.position})"
 
 
 class UnknownVariable(ExprSyntaxError):

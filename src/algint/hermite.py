@@ -1,20 +1,22 @@
 """Lazy Hermite reduction.
 
 Works over a suitable basis W: integral elements whose derivation
-denominator e is squarefree.  The integrand is kept as
-(1/(u*v^d)) * numer*W with v squarefree, gcd(u, v) = 1 and e | u*v, together
-with the squarefree factorisation of u*v^d.  Each step removes one order
-from the repeated pole v by solving the row system b*A = numer mod v with
-A = (uv/e)*M - (d-1)*u*v'*I.  The rest u*v^(d-1) is presented from the
-carried factorisation: v drops to multiplicity d-1, and only what the
-numerators share with a factor is cancelled, factor by factor, so
-squarefree_decomposition runs only on an integrand given as a field element
-or presented over a new basis.  When A is singular modulo a factor w of v,
-Bronstein's lemma turns every row vector c with c*A = 0 mod w and c nonzero
-mod w into an integral element (1/w) * c*W outside the module
-(basis_update).  The module is enlarged by that one
-element for the first row kernel vector of the solve, made suitable again
-(algfield.make_suitable), and the integrand is presented anew over it.
+denominator e is squarefree.  The integrand is one Presented form from
+entry to exit, (1/den) * numer*W with the squarefree factorisation of den.
+While a pole repeats, (v, d) = factors[-1] has d >= 2 and, for
+u = den/v^d, gcd(u, v) = 1 and e | u*v.  Each step removes one order from
+v by solving the row system b*A = numer mod v with
+A = (uv/e)*M - (d-1)*u*v'*I.  Its rest over den/v carries the
+factorisation with v at multiplicity d-1, and presenting it cancels only
+what the numerators share with a factor, so squarefree_decomposition runs
+only on an integrand given as a field element or presented over a new
+basis.  When A is singular modulo a factor w of v, Bronstein's lemma turns
+every row vector c with c*A = 0 mod w and c nonzero mod w into an integral
+element (1/w) * c*W outside the module (basis_update).  The module is
+enlarged by that one element for the first row kernel vector of the solve,
+made suitable again (algfield.make_suitable), and the integrand is
+presented anew over it.  The form left with simple poles becomes a
+Remainder once, at exit.
 
 The reduction never computes an integral basis.  Degenerate steps and the
 suitability repairs after them are the only module enlargements; each
@@ -34,10 +36,14 @@ from .rings import Poly, common_denominator, gcd, squarefree_decomposition
 
 
 class Presented(NamedTuple):
-    """f = (1/den) * numer*W over a suitable basis, den monic with the
-    squarefree factorisation factors (pairs (p, k) as
-    squarefree_decomposition gives them).  den and numer may share content;
-    presenting f cancels it."""
+    """f = (1/den) * numer*W over a suitable basis W, den monic with the
+    squarefree factorisation factors (pairs (p, k), k ascending, as
+    squarefree_decomposition gives them).
+
+    As handed in, den and numer may share content.  _present cancels it
+    and, when a pole repeats, that is (v, d) = factors[-1] has d >= 2,
+    multiplies both by the part of e missing from u*v, u = den/v^d.  The
+    form it returns then has gcd(u, v) = 1, e | u*v and gcd(v, numer) = 1."""
 
     basis: FieldBasis
     den: Poly
@@ -46,23 +52,6 @@ class Presented(NamedTuple):
 
     def element(self):
         return self.basis.element(self.den, self.numer)
-
-
-@dataclass(frozen=True)
-class PolePresentation:
-    """f = (1/(u*v^d)) * numer*W with v squarefree, gcd(u, v) = 1, d >= 2,
-    e | u*v, and gcd(v, numer) = 1; factors is the squarefree factorisation
-    of u*v^d, whose factor of multiplicity d is v."""
-
-    basis: FieldBasis
-    u: Poly
-    v: Poly
-    d: int
-    numer: tuple
-    factors: tuple
-
-    def element(self):
-        return self.basis.element(self.u * self.v**self.d, self.numer)
 
 
 @dataclass(frozen=True)
@@ -80,19 +69,16 @@ class Remainder:
 
 @dataclass(frozen=True)
 class StepReduced:
-    """f = g_part' + (1/rest_den) * rest_numer*W over the step's basis, with
-    rest_factors the squarefree factorisation of rest_den."""
+    """f = g_part' + rest over the step's basis."""
 
     g_part: AlgElem
-    rest_den: Poly
-    rest_numer: tuple
-    rest_factors: tuple
+    rest: Presented
     outcome: SolveOutcome
 
 
 @dataclass(frozen=True)
 class StepDegenerate:
-    presentation: PolePresentation
+    presentation: Presented
     outcome: SolveOutcome
 
 
@@ -105,30 +91,25 @@ class HermiteResult:
 
 
 def present(f, basis):
-    """Rewrite f over the basis as a PolePresentation (repeated poles left)
-    or a normalized Remainder (denominator squarefree)."""
+    """Rewrite f over the basis as a Presented form, as _present leaves it."""
     q, (numer,) = common_denominator([basis.coords_of(f)])
-    return _present(basis, q, numer, tuple(squarefree_decomposition(q)[1]))
+    return _present(Presented(basis, q, numer, squarefree_decomposition(q)))
 
 
-def _present(basis, q, numer, factors):
-    """present() of (1/q) * numer*W, with q monic and factors its squarefree
-    factorisation; the content is cancelled factor by factor (_cancel)."""
-    q, numer, factors = _cancel(q, numer, factors)
-    if not factors or factors[-1][1] <= 1:
-        return _normalize_remainder(basis, q, numer)
-    v, d = factors[-1]
-    u = q
-    for _ in range(d):
-        u = u.exact_div(v)
-    # enforce e | u*v by inflating u and the numerator by the missing part;
-    # e is squarefree, so the scale is coprime to u*v
-    scale = basis.e.exact_div(gcd(basis.e, u * v))
-    if scale.degree > 0:
-        u = u * scale
-        numer = tuple(a * scale for a in numer)
-        factors = _merge(factors + ((scale, 1),))
-    return PolePresentation(basis=basis, u=u, v=v, d=d, numer=numer, factors=factors)
+def _present(pres):
+    """pres with its content cancelled factor by factor (_cancel) and, when
+    a pole repeats, inflated so that e | u*v (see Presented)."""
+    basis = pres.basis
+    den, numer, factors = _cancel(pres.den, pres.numer, pres.factors)
+    if factors and factors[-1][1] >= 2:
+        # e is squarefree, so gcd(e, den) = gcd(e, u*v) and the scale is
+        # coprime to u*v
+        scale = basis.e.exact_div(gcd(basis.e, den))
+        if scale.degree > 0:
+            den = den * scale
+            numer = tuple(a * scale for a in numer)
+            factors = _merge(factors + ((scale, 1),))
+    return Presented(basis, den, numer, factors)
 
 
 def _merge(pairs):
@@ -182,19 +163,20 @@ def _cancel(q, numer, factors):
     return q, numer, _merge(pieces)
 
 
-def _normalize_remainder(basis, q, numer):
+def _remainder(pres):
+    """The Remainder of a form _present left with simple poles only."""
+    basis, q = pres.basis, pres.den
     g = gcd(q, basis.e) if q.degree > 0 else basis.curve.xring.one
-    d = q.exact_div(g)
     scale = basis.e.exact_div(g)
-    nums = tuple(a * scale for a in numer)
-    return Remainder(basis=basis, d=d, nums=nums)
+    return Remainder(basis, q.exact_div(g), tuple(a * scale for a in pres.numer))
 
 
 def hermite_step(pres):
-    """One reduction step.  Solves b*(uv/e * M - (d-1)*u*v'*I) = numer mod v.
+    """One reduction step on the repeated pole (v, d) = pres.factors[-1],
+    u = den/v^d.  Solves b*(uv/e * M - (d-1)*u*v'*I) = numer mod v.
 
     A unique solution yields g = (1/v^(d-1)) * b*W and the reduced rest of
-    the integrand,
+    the integrand, factored as den with v at multiplicity d-1,
 
         f - g' = (1/(u*v^(d-1))) * ((numer - u*v*b' - b*A)/v)*W.
 
@@ -203,8 +185,11 @@ def hermite_step(pres):
     """
     basis = pres.basis
     ring = basis.curve.xring
-    uv_over_e = (pres.u * pres.v).exact_div(basis.e)
-    shift = pres.u * pres.v.derivative() * ring.from_int(pres.d - 1)
+    v, d = pres.factors[-1]
+    vpow = v ** (d - 1)
+    uv = pres.den.exact_div(vpow)
+    uv_over_e = uv.exact_div(basis.e)
+    shift = uv.exact_div(v) * v.derivative() * ring.from_int(d - 1)
     matrix = tuple(
         tuple(
             uv_over_e * p - (shift if i == j else ring.zero)
@@ -212,21 +197,18 @@ def hermite_step(pres):
         )
         for i, row in enumerate(basis.mmat)
     )
-    outcome = solve_mod(matrix, pres.numer, pres.v, ring)
+    outcome = solve_mod(matrix, pres.numer, v, ring)
     if outcome.status != "unique":
         return StepDegenerate(presentation=pres, outcome=outcome)
     b = outcome.solution
-    vpow = pres.v ** (pres.d - 1)
-    uv = pres.u * pres.v
     rest_numer = tuple(
-        (a - uv * bi.derivative() - bm).exact_div(pres.v)
+        (a - uv * bi.derivative() - bm).exact_div(v)
         for a, bi, bm in zip(pres.numer, b, vec_mat(b, matrix))
     )
+    rest_factors = _merge(pres.factors[:-1] + ((v, d - 1),))
     return StepReduced(
         g_part=basis.element(vpow, b),
-        rest_den=pres.u * vpow,
-        rest_numer=rest_numer,
-        rest_factors=_merge((p, k - 1 if k == pres.d else k) for p, k in pres.factors),
+        rest=Presented(basis, pres.den.exact_div(v), rest_numer, rest_factors),
         outcome=outcome,
     )
 
@@ -270,12 +252,13 @@ def lazy_hermite_reduce(f, basis: Optional[FieldBasis] = None):
     when None), or a Presented form, reduced from its own basis.  Returns
     a HermiteResult carrying the derivative part g, the normalized
     remainder h, the final (possibly enlarged) basis, and the integral
-    elements the module updates adjoined.  Between steps the integrand
-    stays in the presentation (1/(u*v^d)) * numer*W; only a module update
-    rebuilds it, by presenting the current integrand over the enlarged
-    basis.  Every basis presented over is suitable (make_suitable), so
-    each presentation has gcd(u, v) = 1.  A step's rest keeps the
-    factorisation of its denominator (StepReduced.rest_factors).
+    elements the module updates adjoined.  The integrand stays one
+    Presented form, as _present leaves it, from entry to exit: a step's
+    rest is presented from the factorisation it carries, and only a module
+    update presents the current integrand anew, over the enlarged basis.
+    Every basis presented over is suitable (make_suitable), so every form
+    has gcd(u, v) = 1.  The form left with simple poles becomes the
+    Remainder once, at exit.
 
     Termination: a reduction step leaves a rest whose denominator divides
     u*v^(d-1), and every factor of u has multiplicity below d, so on an
@@ -285,18 +268,17 @@ def lazy_hermite_reduce(f, basis: Optional[FieldBasis] = None):
     """
     if isinstance(f, Presented):
         basis = f.basis
-        pres = _present(basis, f.den, f.numer, f.factors)
+        pres = _present(f)
     else:
         basis = initial_suitable_basis(f.curve) if basis is None else make_suitable(basis)
         pres = present(f, basis)
     g_total = basis.curve.zero()
     adjoined = []
     last_d = None  # pole order the previous step reduced on this basis
-    while isinstance(pres, PolePresentation):
-        if last_d is not None and pres.d >= last_d:
-            raise AlgintError(
-                f"a reduction step left pole order {pres.d}, not below {last_d}"
-            )
+    while pres.factors and pres.factors[-1][1] >= 2:
+        d = pres.factors[-1][1]
+        if last_d is not None and d >= last_d:
+            raise AlgintError(f"a reduction step left pole order {d}, not below {last_d}")
         step = hermite_step(pres)
         if isinstance(step, StepDegenerate):
             theta = basis_update(step)
@@ -306,8 +288,8 @@ def lazy_hermite_reduce(f, basis: Optional[FieldBasis] = None):
             last_d = None
             continue
         g_total = g_total + step.g_part
-        last_d = pres.d
-        pres = _present(basis, step.rest_den, step.rest_numer, step.rest_factors)
+        last_d = d
+        pres = _present(step.rest)
     return HermiteResult(
-        g_part=g_total, remainder=pres, basis=basis, adjoined=tuple(adjoined)
+        g_part=g_total, remainder=_remainder(pres), basis=basis, adjoined=tuple(adjoined)
     )

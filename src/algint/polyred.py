@@ -464,10 +464,6 @@ class _BasisData(NamedTuple):
     a: Poly
 
 
-def _squarefree(p):
-    return tuple(squarefree_decomposition(p)[1])
-
-
 def _moving_part(s, factors):
     """(m, k) = (s/g, D_t(s)/g) for g = gcd(s, D_t s), from the squarefree
     factorisation of s: m is the product of the primes of s that move with
@@ -567,10 +563,10 @@ class Decomposer:
             nw, nw_num = common_denominator(mat_mul(dt_w, winv))
             tau, t_num = common_denominator(mat_mul(self.inf_basis.trans, winv))
             a = self._basis_data(basis).a
-            s, s_factors = a * tau, product_factors(_squarefree(a), _squarefree(tau))
+            s, s_factors = a * tau, product_factors(*map(squarefree_decomposition, (a, tau)))
             m, k = _moving_part(s, s_factors)
             lcm_m = lcm_many([m, nw])
-            factors = product_factors(s_factors, _squarefree(lcm_m))
+            factors = product_factors(s_factors, squarefree_decomposition(lcm_m))
             hit = _DtData(t_num, nw, nw_num, s, s_factors, m, k, lcm_m, factors)
             self._dts[basis] = hit
         return hit
@@ -592,7 +588,7 @@ class Decomposer:
             d_factors = product_factors(((d, 1),), dtd.s_factors)
             m, k = _moving_part(big_d, d_factors)
             lcm_m = lcm_many([m, dtd.nw])
-            factors = product_factors(d_factors, _squarefree(lcm_m))
+            factors = product_factors(d_factors, squarefree_decomposition(lcm_m))
         m_scale, nw_scale = lcm_m.exact_div(m), lcm_m.exact_div(dtd.nw)
         numer = tuple(
             m_scale * (m * dt_poly(c) - k * c) + nw_scale * r

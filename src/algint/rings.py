@@ -717,18 +717,19 @@ def poly_crt(pairs):
 
 
 def squarefree_decomposition(p):
-    """Yun's algorithm: return (lc, [(factor, multiplicity), ...]).
+    """Yun's algorithm: the pairs (factor, multiplicity), multiplicities
+    ascending, as a tuple.
 
     Factors are monic, squarefree, pairwise coprime, with p equal to
-    lc times the product of factor**multiplicity.  Characteristic zero only.
+    p.lc times the product of factor**multiplicity.  Characteristic zero
+    only.
     """
     if not p:
         raise DomainError("squarefree decomposition of 0")
-    c = p.lc
     p = p.monic()
-    out = []
     if p.degree == 0:
-        return c, out
+        return ()
+    out = []
     g = gcd(p, p.derivative())
     b = p.exact_div(g)
     d = p.derivative().exact_div(g) - b.derivative()
@@ -740,7 +741,7 @@ def squarefree_decomposition(p):
         b = b.exact_div(a)
         d = d.exact_div(a) - b.derivative()
         i += 1
-    return c, out
+    return tuple(out)
 
 
 def is_squarefree(p):
@@ -753,9 +754,8 @@ def is_squarefree(p):
 
 def square_part_root(p):
     """For p = lc * s * f**2 with s squarefree, return the monic f."""
-    _, factors = squarefree_decomposition(p)
     out = p.ring.one
-    for f, mult in factors:
+    for f, mult in squarefree_decomposition(p):
         if mult >= 2:
             out = out * f ** (mult // 2)
     return out
@@ -794,7 +794,7 @@ def kth_root(c, k):
         root = None if c.degree % k else kth_root(c.lc, k)
         if root is None:
             return None
-        _, factors = squarefree_decomposition(c)
+        factors = squarefree_decomposition(c)
         if any(mult % k for _, mult in factors):
             return None
         out = c.ring.from_coeff(root)

@@ -11,7 +11,7 @@ from algint.parsing import build_curve, build_element, parse_expression
 from algint.polyred import ComplementNV, _max_deg
 from algint.rings import (
     QQ, QT, POLY_X_QQ, RAT_X_QQ, T_POLY, FracField, Poly, PolyRing,
-    common_denominator, gcd, x_frac_field, x_poly_ring,
+    common_denominator, gcd, squarefree_decomposition, x_frac_field, x_poly_ring,
 )
 
 settings.register_profile(
@@ -178,6 +178,26 @@ def reference_curve(text, const_field):
 def module_equal(a, b):
     """Do the bases a and b span the same K[x]-module?"""
     return a.module_contains(b) and b.module_contains(a)
+
+
+def check_loop_state(pres):
+    """Assert what the Hermite loop keeps of a hermite.Presented form as
+    _present returns it: factors is the squarefree decomposition of den,
+    and when a pole repeats, (v, d) = factors[-1] and u = den/v^d give
+    e | u*v, gcd(u, v) = 1 and gcd(v, numer) = 1.  Returns whether a pole
+    repeats."""
+    assert pres.factors == squarefree_decomposition(pres.den)
+    if not pres.factors or pres.factors[-1][1] < 2:
+        return False
+    v, d = pres.factors[-1]
+    u = pres.den.exact_div(v**d)
+    assert not (u * v) % pres.basis.e
+    assert gcd(u, v).degree == 0
+    content = v
+    for a in pres.numer:
+        content = gcd(content, a)
+    assert content.degree == 0
+    return True
 
 
 def apply_tilde(phi, row):

@@ -191,8 +191,7 @@ def _admissible_radicand(rng, max_degree, index):
     some squarefree-decomposition multiplicity must not divide by index."""
     while True:
         p = _random_poly(rng, max_degree)
-        _, parts = squarefree_decomposition(p)
-        if any(m % index for _, m in parts):
+        if any(m % index for _, m in squarefree_decomposition(p)):
             return p
 
 

@@ -63,8 +63,7 @@ def test_repeated_factor_quotients_are_new_integral_elements(text):
     # the module exactly when the row M_i is not 0 mod p
     checked = 0
     for basis in _unsuitable_bases(text):
-        _, factors = squarefree_decomposition(basis.e)
-        for p in (p for p, mult in factors if mult >= 2):
+        for p in (p for p, mult in squarefree_decomposition(basis.e) if mult >= 2):
             rows = [row for row in basis.mmat if any(a % p for a in row)]
             assert rows  # e is the least common denominator
             for row in rows:

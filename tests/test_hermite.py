@@ -19,7 +19,7 @@ from algint.hermite import (
 from algint.parsing import build_curve, build_element
 from algint.rings import QQ, POLY_X_QQ, gcd, is_squarefree
 
-from conftest import curve_elements, elem, module_equal, small_fractions
+from conftest import check_loop_state, curve_elements, elem, module_equal, small_fractions
 
 R = POLY_X_QQ
 
@@ -43,24 +43,37 @@ def reference_bases(parabola):
 # ---------------------------------------------------------------------------
 # presentation
 
+def pole(pres):
+    """(u, v, d) of a presented form with the repeated pole (v, d) =
+    factors[-1] and u = den/v^d."""
+    v, d = pres.factors[-1]
+    return pres.den.exact_div(v**d), v, d
+
+
 def test_present_extracts_highest_multiplicity(parabola):
     basis = FieldBasis(parabola, (parabola.one(), parabola.gen()))
     f = elem(parabola, "y/(x^2*(x+1))")
     pres = present(f, basis)
-    assert str(pres.v) == "x"
-    assert pres.d == 2
-    assert str(pres.u) == "x + 1"
+    u, v, d = pole(pres)
+    assert str(v) == "x"
+    assert d == 2
+    assert str(u) == "x + 1"
     assert pres.element() == f
 
 
 def test_present_simple_poles_is_remainder(parabola):
+    # with simple poles only, the presented form is the remainder, which
+    # the reduction normalizes at exit
     basis = FieldBasis(parabola, (parabola.one(), parabola.gen()))
     f = elem(parabola, "y/(x*(x+1))")
     pres = present(f, basis)
-    assert isinstance(pres, Remainder)
-    assert pres.element() == f
-    assert is_squarefree(pres.d)
-    assert gcd(pres.d, basis.e) == R.one
+    assert [k for _, k in pres.factors] == [1]
+    rem = hermite._remainder(pres)
+    assert isinstance(rem, Remainder)
+    assert rem.element() == f
+    assert is_squarefree(rem.d)
+    assert gcd(rem.d, basis.e) == R.one
+    assert lazy_hermite_reduce(f, basis).remainder == rem
 
 
 def test_present_scales_into_derivation_denominator(parabola):
@@ -68,10 +81,12 @@ def test_present_scales_into_derivation_denominator(parabola):
     basis = FieldBasis(parabola, (parabola.one(), parabola.gen()))
     f = elem(parabola, "y/(x+1)^2")
     pres = present(f, basis)
-    assert str(pres.v) == "x + 1"
-    assert pres.d == 2
-    assert not pres.u % P(0, 1)
+    u, v, d = pole(pres)
+    assert str(v) == "x + 1"
+    assert d == 2
+    assert not u % P(0, 1)
     assert pres.element() == f
+    assert check_loop_state(pres)
 
 
 # ---------------------------------------------------------------------------
@@ -99,14 +114,14 @@ def test_unique_step_removes_a_pole_order(parabola):
     f = elem(parabola, "y/(x^2*(x+1))")
     pres = present(f, bases["(x, x*y)"])
     # coordinates on (x, x*y) put x^3(x+1) in the denominator
-    assert pres.d == 3
+    u, v, d = pole(pres)
+    assert d == 3
     step = hermite_step(pres)
-    assert step.rest_den == pres.u * pres.v ** (pres.d - 1)
-    basis = bases["(x, x*y)"]
-    rest = basis.element(step.rest_den, step.rest_numer)
+    assert step.rest.den == u * v ** (d - 1)
+    assert step.rest.basis is bases["(x, x*y)"]
+    rest = step.rest.element()
     assert f == step.g_part.dx() + rest
-    rest_pres = present(rest, basis)
-    assert rest_pres.d == 2  # one multiplicity peeled off
+    assert pole(present(rest, step.rest.basis))[2] == 2  # one multiplicity peeled off
 
 
 # ---------------------------------------------------------------------------
@@ -177,7 +192,8 @@ def test_quartic_update_is_certified():
 
 def test_every_presented_basis_is_suitable(monkeypatch):
     # an update whose enlargement leaves e non-squarefree is repaired before
-    # the integrand is presented over it, so gcd(u, v) = 1 in every step
+    # the integrand is presented over it, so every presented form keeps the
+    # loop state, gcd(u, v) = 1 included
     curve = build_curve("y^3 + x*y^2 + x^4", QQ)
     breaking = build_element(
         "((5/3*x + 2/27)/x^2)*y^2 + ((-10/9*x - 2/9)/x)*y - 7/27*x", curve
@@ -185,27 +201,25 @@ def test_every_presented_basis_is_suitable(monkeypatch):
     assert breaking.is_integral()
     assert not initial_suitable_basis(curve).enlarge([breaking]).e_squarefree
     real_update, real_present = hermite.basis_update, hermite._present
-    updates, presented = [], []
+    updates, repeated = [], []
 
     def first_update_breaks(step):
         updates.append(step)
         return breaking if len(updates) == 1 else real_update(step)
 
-    def recording_present(basis, q, numer, factors):
-        pres = real_present(basis, q, numer, factors)
-        presented.append(pres)
-        return pres
+    def checked_present(pres):
+        out = real_present(pres)
+        assert out.basis.e_squarefree
+        repeated.append(check_loop_state(out))
+        return out
 
     monkeypatch.setattr(hermite, "basis_update", first_update_breaks)
-    monkeypatch.setattr(hermite, "_present", recording_present)
+    monkeypatch.setattr(hermite, "_present", checked_present)
     f = build_element("y/x^2", curve)
     result = lazy_hermite_reduce(f)
     assert updates
     assert result.adjoined[0] == breaking
-    assert all(pres.basis.e_squarefree for pres in presented)
-    for pres in presented:
-        if isinstance(pres, hermite.PolePresentation):
-            assert gcd(pres.u, pres.v) == R.one
+    assert any(repeated)
     assert f == result.g_part.dx() + result.remainder.element()
 
 
@@ -305,18 +319,12 @@ def test_step_without_progress_is_an_error(parabola, monkeypatch):
     presented = []
     real_present = hermite._present
 
-    def counting_present(basis, q, numer, factors):
-        presented.append(q)
-        return real_present(basis, q, numer, factors)
+    def counting_present(pres):
+        presented.append(pres.den)
+        return real_present(pres)
 
     def stalled_step(pres):
-        return StepReduced(
-            g_part=parabola.zero(),
-            rest_den=pres.u * pres.v**pres.d,
-            rest_numer=pres.numer,
-            rest_factors=pres.factors,
-            outcome=None,
-        )
+        return StepReduced(g_part=parabola.zero(), rest=pres, outcome=None)
 
     monkeypatch.setattr(hermite, "_present", counting_present)
     monkeypatch.setattr(hermite, "hermite_step", stalled_step)

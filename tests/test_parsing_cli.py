@@ -502,6 +502,26 @@ def test_cli_verify_refuses_the_zero_operator(capsys):
     assert "verified: no" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize(
+    "telescoper, message",
+    [
+        ("1, 2*x", "unknown variable 'x' (at offset 5)"),
+        ("t,t+", "operator '+' is missing its operand (at offset 3)"),
+        ("1,,2", "expected a value (at offset 2)"),
+        (" t ,  @", "unexpected character '@' (at offset 6)"),
+    ],
+)
+def test_cli_verify_syntax_error_offsets_count_in_the_whole_telescoper(
+    capsys, telescoper, message
+):
+    rc = main([
+        "verify", "--curve", "y^2 - x*(x - 1)*(x - t)", "--integrand", "1/y",
+        "--telescoper", telescoper, "--certificate", "0",
+    ])
+    assert rc == 2
+    assert capsys.readouterr().err.splitlines() == [f"syntax error: {message}"]
+
+
 def test_cli_decompose_text_and_structured(capsys):
     argv = ["decompose", "--curve", "y^2 - x", "--integrand", "y/(x^2*(x+1))"]
     assert main(argv) == 0

@@ -5,7 +5,8 @@ denominator, and the telescoping ledger keeps its remainders in the
 coordinates of their decompositions, on which D_t acts by basis matrices.
 Each carried object is checked here against the one computed from scratch:
 squarefree_decomposition of the denominator, and the presentation of the
-field element D_t(h) over the basis.
+field element D_t(h) over the basis.  Every form the reduction presents
+keeps the loop state (conftest.check_loop_state).
 """
 import dataclasses
 import json
@@ -21,7 +22,7 @@ from algint.polyred import Decomposer
 from algint.rings import QT, T_POLY, common_denominator, squarefree_decomposition
 from algint.telescoper import RemainderLedger, find_dependency
 
-from conftest import small_fractions
+from conftest import check_loop_state, small_fractions
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -34,17 +35,19 @@ def _records(path):
     ]
 
 
-# the desk corpus, and one record with a planted pole per seeded curve
+# the desk corpus, one record with a planted pole per seeded curve, and two
+# whose repeated pole misses a prime of e, so that presenting inflates the
+# form to e | u*v (no corpus record needs that)
 DESK = _records(ROOT / "data" / "desk_corpus.jsonl")
 RECORDS = DESK + [
     rec
     for rec in _records(ROOT / "tests" / "data" / "seeded_curves.jsonl")
     if rec["name"].endswith("-planted")
+] + [
+    {"name": "pole-off-e", "curve": "y^2 - x", "integrand": "y/(x + 1)^3"},
+    {"name": "pole-off-e-telescope", "mode": "telescope",
+     "curve": "y^2 - x*(x - 1)*(x - t)", "integrand": "y/(x - 2)^2"},
 ]
-
-
-def _squarefree(q):
-    return tuple(squarefree_decomposition(q)[1])
 
 
 @pytest.mark.parametrize("rec", RECORDS, ids=lambda r: r["name"])
@@ -54,15 +57,13 @@ def test_carried_factorisations_are_squarefree_decompositions(rec, monkeypatch):
     def checked_step(pres):
         step = real_step(pres)
         if isinstance(step, hermite.StepReduced):
-            assert step.rest_factors == _squarefree(step.rest_den)
+            assert step.rest.factors == squarefree_decomposition(step.rest.den)
         return step
 
-    def checked_present(basis, q, numer, factors):
-        pres = real_present(basis, q, numer, factors)
-        if isinstance(pres, hermite.PolePresentation):
-            assert pres.factors == _squarefree(pres.u * pres.v**pres.d)
-            assert pres.factors[-1] == (pres.v, pres.d)
-        return pres
+    def checked_present(pres):
+        out = real_present(pres)
+        check_loop_state(out)
+        return out
 
     monkeypatch.setattr(hermite, "hermite_step", checked_step)
     monkeypatch.setattr(hermite, "_present", checked_present)
@@ -83,7 +84,7 @@ def test_the_oracle_sees_reduced_steps(monkeypatch):
         run_record(rec)
     reduced = [s for s in steps if isinstance(s, hermite.StepReduced)]
     assert len(reduced) > 5
-    assert any(len(s.rest_factors) > 1 for s in reduced)
+    assert any(len(s.rest.factors) > 1 for s in reduced)
 
 
 # ---------------------------------------------------------------------------
@@ -158,11 +159,9 @@ def test_dt_by_basis_matrices_matches_the_element(name, data):
     pres = decomposer.dt_remainder(rdec)
     xf = basis.curve.xfrac
     assert tuple(xf.of(a, pres.den) for a in pres.numer) == basis.coords_of(dth)
-    assert pres.factors == _squarefree(pres.den)
+    assert pres.factors == squarefree_decomposition(pres.den)
     # presented from the carried factorisation or from scratch: the same
-    assert hermite._present(basis, pres.den, pres.numer, pres.factors) == hermite.present(
-        dth, basis
-    )
+    assert hermite._present(pres) == hermite.present(dth, basis)
 
 
 def test_known_factorisation_covers_moving_and_fixed_poles():
@@ -174,7 +173,7 @@ def test_known_factorisation_covers_moving_and_fixed_poles():
     d = _xpoly(curve, "(x - 2)*(x - t - 1)")
     rdec = dataclasses.replace(dec, d=d, p_nums=(ring.zero, ring.poly([_qt(1, 1)])))
     pres = decomposer.dt_remainder(rdec)
-    assert pres.factors == _squarefree(pres.den)
+    assert pres.factors == squarefree_decomposition(pres.den)
     for prime, mult in (("x - 2", 1), ("x - t - 1", 2)):
         r = _xpoly(curve, prime)
         assert [k for p, k in pres.factors if not p % r] == [mult]

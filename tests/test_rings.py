@@ -95,8 +95,9 @@ def test_lcm_of_coprime_is_product():
 
 def test_squarefree_decomposition_frozen():
     p = P(1, 1) ** 3 * P(0, 1) ** 2 * P(-2, 1) * 4
-    lc, parts = squarefree_decomposition(p)
-    assert lc == Fraction(4)
+    parts = squarefree_decomposition(p)
+    assert p.lc == Fraction(4)
+    assert [m for _, m in parts] == [1, 2, 3]
     table = {m: f for f, m in parts}
     assert table[3] == P(1, 1)
     assert table[2] == P(0, 1)
@@ -178,9 +179,8 @@ def test_gcd_lcm_product(a, b):
 
 @given(polys_over_qq(nonzero=True))
 def test_squarefree_decomposition_reassembles(p):
-    lc, parts = squarefree_decomposition(p)
-    prod = R.from_coeff(lc)
-    for f, m in parts:
+    prod = R.from_coeff(p.lc)
+    for f, m in squarefree_decomposition(p):
         assert is_squarefree(f)
         assert f.lc == 1
         prod = prod * f ** m
