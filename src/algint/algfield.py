@@ -4,10 +4,11 @@ Elements are polynomials in y of degree < n with coefficients in K(x),
 reduced against the monic defining polynomial.  K(x) acts on A by scaling:
 a product with a y-free factor scales the other factor's coefficients, and
 a nonzero y-free element inverts in K(x), so neither takes a product mod m
-or an extended gcd.  The curve caches y' per derivation.  A quadratic m, or
-a binomial y^n - p, is refuted at construction when it factors; otherwise
-irreducibility of m is assumed, not checked: any inversion that stumbles
-over a zero divisor raises CurveReducible with the discovered factor.
+or an extended gcd.  The curve inverts m_y once and caches y' per
+derivation.  A quadratic m, or a binomial y^n - p, is refuted at
+construction when it factors; otherwise irreducibility of m is assumed,
+not checked: any inversion that stumbles over a zero divisor raises
+CurveReducible with the discovered factor.
 
 A FieldBasis carries a K(x)-basis W of A together with the derivation data
 (e, M) satisfying e*W' = M*W, where e is the monic least common denominator.
@@ -112,13 +113,18 @@ class Curve:
             raise CurveReducible(g)
         return s % self.m
 
+    @cached_property
+    def _m_y_inv(self):
+        """1/m_y(y), shared by the derivations."""
+        return self._inv_ypoly(self.m_y)
+
     def dy(self, dcoeff):
         """y' under the derivation that acts on K(x) as dcoeff, from
         m(y) = 0: y' = -m^dcoeff(y) / m_y(y), cached per derivation."""
         dy = self._dy.get(dcoeff)
         if dy is None:
             m_d = Poly(self.yring, tuple(dcoeff(c) for c in self.m.coeffs))
-            dy = self._dy[dcoeff] = (-m_d * self._inv_ypoly(self.m_y)) % self.m
+            dy = self._dy[dcoeff] = (-m_d * self._m_y_inv) % self.m
         return dy
 
     @cached_property

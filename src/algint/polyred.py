@@ -23,7 +23,14 @@ from itertools import count
 from math import isqrt, lcm
 from typing import NamedTuple
 
-from .algfield import AlgElem, FieldBasis, dt_coeff, dt_poly, scaled_powers
+from .algfield import (
+    AlgElem,
+    FieldBasis,
+    dt_coeff,
+    dt_poly,
+    initial_suitable_basis,
+    scaled_powers,
+)
 from .errors import AlgintError, PreconditionError, SuitabilityFailure
 from .hermite import Presented, lazy_hermite_reduce, product_factors
 from .linalg import char_poly, det, hnf_rows, inverse, mat_mul, vec_mat
@@ -499,16 +506,28 @@ class _DtData(NamedTuple):
 
 
 class Decomposer:
-    """Caches the infinity basis, the data of each final basis and the image
-    complements per (u, a).  In the telescoping loop it also caches D_t on
-    each basis pair (W, V), so that D_t acts on remainders by matrices."""
+    """The data of decompositions over one curve, none of which depends on
+    the integrand: the initial suitable basis, the infinity basis V, the
+    data of each final basis W and D_t on each pair (W, V), both keyed by
+    W's elements, and the image complement per (u, a).  Each is built on
+    first use and kept only once complete (a complement once ensure_stable
+    has fed it), so a call interrupted midway leaves nothing half built and
+    one Decomposer can serve every integrand on its curve: telescope keeps
+    one per curve, additive_decompose makes one per call."""
 
     def __init__(self, curve):
         self.curve = curve
+        self._initial = None
         self._inf = None
         self._bases = {}
         self._complements = {}
         self._dts = {}
+
+    @property
+    def initial_basis(self):
+        if self._initial is None:
+            self._initial = initial_suitable_basis(self.curve)
+        return self._initial
 
     @property
     def inf_basis(self):
@@ -525,29 +544,30 @@ class Decomposer:
             bmat = tuple(tuple(scale * p for p in row) for row in inf.mmat)
             phi = PhiMap(u=u, a=a, bmat=bmat)
             hit = ComplementNV(phi, self.curve.n, self.curve.field)
+            hit.ensure_stable()
             self._complements[key] = hit
         return hit
 
     def _basis_data(self, basis):
-        """The _BasisData of a final basis, computed once per basis object."""
-        hit = self._bases.get(basis)
+        """The _BasisData of a final basis, computed once per basis."""
+        hit = self._bases.get(basis.elements)
         if hit is None:
             inf = self.inf_basis
             b, cmat = common_denominator([inf.coords_of(w) for w in basis.elements])
             eb = basis.e * b
             a = lcm_many([inf.e, eb])
             hit = _BasisData(cmat, b, a.exact_div(eb), compute_u(basis, b), a)
-            self._bases[basis] = hit
+            self._bases[basis.elements] = hit
         return hit
 
     def _dt_data(self, basis):
-        """The _DtData of the pair (basis, V), computed once per basis object.
+        """The _DtData of the pair (basis, V), computed once per basis.
 
         D_t acts on the power basis Y by D_t Y = P*Y, with row j the
         coordinates of j*y^(j-1)*D_t(y).  A basis with Y-coordinates trans
         has D_t-coordinates D_t(trans) + trans*P over Y, and the W-coordinates
         of anything are its Y-coordinates times W's trans_inv."""
-        hit = self._dts.get(basis)
+        hit = self._dts.get(basis.elements)
         if hit is None:
             cur = self.curve
             y = cur.gen()
@@ -568,7 +588,7 @@ class Decomposer:
             lcm_m = lcm_many([m, nw])
             factors = product_factors(s_factors, squarefree_decomposition(lcm_m))
             hit = _DtData(t_num, nw, nw_num, s, s_factors, m, k, lcm_m, factors)
-            self._dts[basis] = hit
+            self._dts[basis.elements] = hit
         return hit
 
     def dt_remainder(self, dec):
@@ -618,10 +638,12 @@ class Decomposer:
         return rows
 
     def decompose(self, f, basis=None):
-        """Additive decomposition of f, a field element reduced from basis (an
-        initial suitable basis when None) or a hermite.Presented form.  u and
-        a depend on the final basis alone, so decompositions that end on one
-        basis share u, a and the image complement."""
+        """Additive decomposition of f, a field element reduced from basis (the
+        curve's initial suitable basis when None) or a hermite.Presented
+        form.  u and a depend on the final basis alone, so decompositions
+        that end on one basis share u, a and the image complement."""
+        if basis is None and not isinstance(f, Presented):
+            basis = self.initial_basis
         her = lazy_hermite_reduce(f, basis)
         w_basis = her.basis
         d, r, s = euclid_split(her.remainder)

@@ -24,11 +24,19 @@ representation stays denominator-squarefree, so this never triggers Hermite
 steps) and the derivative part that splits off is folded into the entry's
 gamma.  The certificate is checked from scratch at the end
 (verify_telescoper).
+
+Nothing but the integrand changes between two calls on one curve: the
+basis pair, its D_t matrices and the image complements are the curve's.
+So telescope keeps the Decomposer of the last KEPT_CURVES curves it
+telescoped in the process, keyed by the field, m and the leading
+coefficient as given (scaled_powers reads it), and rebinds f onto the kept
+curve, whose y' per derivation is then computed once as well.
 """
 
 from __future__ import annotations
 
 import math
+from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -167,19 +175,36 @@ def verify_telescoper(f, coeffs, certificate):
     return any(coeffs) and apply_telescoper(f, coeffs) == certificate.dx()
 
 
+KEPT_CURVES = 32
+_DECOMPOSERS = OrderedDict()  # (field, m, lead) -> Decomposer, oldest use first
+
+
+def _kept_decomposer(curve):
+    """The Decomposer kept for curve, made and kept if there is none; the
+    curve used least recently is dropped past KEPT_CURVES."""
+    key = (curve.field, curve.m, curve.lead)
+    decomposer = _DECOMPOSERS.pop(key, None) or Decomposer(curve)
+    _DECOMPOSERS[key] = decomposer
+    if len(_DECOMPOSERS) > KEPT_CURVES:
+        _DECOMPOSERS.popitem(last=False)
+    return decomposer
+
+
 def telescope(f, max_order=20):
     """Minimal-order telescoper for f with respect to D_t.
 
     Raises MaxOrderExceeded (with the per-round ranks) if no dependency
     shows up by the requested order, and DomainError for a negative order.
     The returned telescoper is verified against a fresh computation of
-    sum(c_i D_t^i f) before it is returned.
+    sum(c_i D_t^i f) before it is returned.  The certificate lies on the
+    kept curve equal to f's, with the same leading coefficient.
     """
     if max_order < 0:
         raise DomainError(f"order cap must be >= 0, got {max_order}")
     if f.curve.field != QT:
         raise PreconditionError("telescoping requires the coefficient field QQ(t)")
-    decomposer = Decomposer(f.curve)
+    decomposer = _kept_decomposer(f.curve)
+    f = AlgElem(decomposer.curve, f.poly)
     dec0 = decomposer.decompose(f)
     ledger = RemainderLedger(decomposer, dec0)
     ranks = []

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import HealthCheck, settings, strategies as st
 
+from algint import telescoper
 from algint.algfield import Curve, FieldBasis, power_basis
 from algint.errors import DomainError
 from algint.linalg import det, mat, transpose, vec_mat
@@ -22,6 +23,15 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture],
 )
 settings.load_profile("suite")
+
+
+@pytest.fixture(autouse=True)
+def no_kept_decomposers():
+    """Each test starts and ends with telescope's table of kept Decomposers
+    empty, so call counts and monkeypatches see no data of another test."""
+    telescoper._DECOMPOSERS.clear()
+    yield
+    telescoper._DECOMPOSERS.clear()
 
 
 @pytest.fixture

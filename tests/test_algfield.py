@@ -118,6 +118,18 @@ def test_only_y_bearing_divisors_take_an_extended_gcd(
     assert counts["_inv_ypoly"] == calls
 
 
+def test_m_y_is_inverted_once_per_curve(monkeypatch):
+    # y' under d/dx and under d/dt both divide by m_y(y)
+    counts = {}
+    count_calls(monkeypatch, counts, Curve, "_inv_ypoly")
+    curve = build_curve("y^2 - x*(x - 1)*(x - t)", QT)
+    y = curve.gen()
+    dx, dt = y.dx(), y.dt()
+    assert counts["_inv_ypoly"] == 1
+    assert (y.dx(), y.dt(), (y * y).dt()) == (dx, dt, 2 * y * dt)
+    assert counts["_inv_ypoly"] == 1
+
+
 def test_reducible_curve_detected_on_inversion():
     # past degree 2 a curve that is no binomial is refuted only when an
     # inversion meets its factor: here (y - x)*(y^2 + x)

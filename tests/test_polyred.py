@@ -224,15 +224,19 @@ def _fed_rows(comp, top):
 
 def _complement(curve, second):
     """A complement not yet built: for u = x^2 + 1 when second is None,
-    else for the u and a that decompose finds over the basis (1, second)."""
+    else for the u and a that decompose finds over the basis (1, second).
+    Decomposer.complement returns its complement fed to the bound, so a
+    fresh one is made on the same phi."""
     dec = Decomposer(curve)
     if second is None:
         u = P(1, 0, 1)
-        return dec.complement(u, dec.inf_basis.e * u)
-    basis = FieldBasis(curve, (curve.one(), elem(curve, second)))
-    out = Decomposer(curve).decompose(elem(curve, "y"), basis=basis)
-    assert out.basis is basis
-    return dec.complement(out.u, out.a)
+        built = dec.complement(u, dec.inf_basis.e * u)
+    else:
+        basis = FieldBasis(curve, (curve.one(), elem(curve, second)))
+        out = Decomposer(curve).decompose(elem(curve, "y"), basis=basis)
+        assert out.basis is basis
+        built = dec.complement(out.u, out.a)
+    return ComplementNV(built.phi, curve.n, curve.field)
 
 
 @pytest.mark.parametrize(

@@ -1,15 +1,18 @@
 """Creative telescoping over the parameter field Q(t)."""
+import functools
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from algint.algfield import initial_suitable_basis
+from algint.cli import run_record
 from algint.errors import AlgintError, DomainError, MaxOrderExceeded, PreconditionError
 from algint.parsing import build_curve, build_element
-from algint.polyred import Decomposer
+from algint.polyred import ComplementNV, Decomposer
 from algint.rings import QQ, QT, T_POLY, common_denominator
 from algint.telescoper import (
+    _DECOMPOSERS,
     RemainderLedger,
     _normalize_dependency,
     apply_telescoper,
@@ -219,3 +222,117 @@ def test_telescope_verifies_before_returning(legendre):
     tel = telescope(f)
     assert verify_telescoper(f, tel.coeffs, tel.certificate)
     assert tel.order <= 2
+
+
+# ---------------------------------------------------------------------------
+# kept Decomposers: reuse never changes an answer
+
+LEGENDRE = "y^2 - x*(x - ({}))*(x - t)"
+DESK_AND_LEGENDRE = [
+    ("y^2 - x - t", "y"),
+    ("y - 1", "1/(x - t)"),
+    ("y^2 - x*(x - 1)*(x - t)", "1/y"),
+] + [
+    (LEGENDRE.format(a), form.format(c))
+    for a, c in ((1, 2), (-1, -1), (2, 3), (-2, 1), (3, -1), (-3, 2))
+    for form in ("{}/y", "{}*x/y")
+]
+# equal curves, with leading coefficients 1, 2, -1 and t as given
+LEADS = [
+    (curve, integrand)
+    for curve in (
+        "y^2 - x*(x - 1)*(x - t)",
+        "2*y^2 - 2*x*(x - 1)*(x - t)",
+        "-y^2 + x*(x - 1)*(x - t)",
+        "t*y^2 - t*x*(x - 1)*(x - t)",
+    )
+    for integrand in ("1/y", "x/y")
+]
+
+
+def _answer(curve, integrand, max_order=20):
+    """The structured output of algint telescope."""
+    record = {"name": "r", "mode": "telescope", "curve": curve,
+              "integrand": integrand, "max_order": max_order}
+    return run_record(record)
+
+
+@functools.cache
+def _fresh_answer(record):
+    """The answer of a call that finds no kept Decomposer, and leaves none."""
+    _DECOMPOSERS.clear()
+    try:
+        return _answer(*record)
+    finally:
+        _DECOMPOSERS.clear()
+
+
+def _kept_key(text):
+    curve = build_curve(text, QT)
+    return curve.field, curve.m, curve.lead
+
+
+@pytest.mark.parametrize(
+    "first, second",
+    [
+        (DESK_AND_LEGENDRE, DESK_AND_LEGENDRE[::-1]),
+        (DESK_AND_LEGENDRE[1::2] + DESK_AND_LEGENDRE[::2], DESK_AND_LEGENDRE),
+        (LEADS, LEADS[::-1]),
+        (LEADS[::-1], LEADS),
+    ],
+    ids=["desk-legendre", "desk-legendre-interleaved", "leads", "leads-reversed"],
+)
+def test_kept_decomposers_never_change_an_answer(first, second):
+    fresh = [_fresh_answer(record) for record in first + second]
+    got = [_answer(*record) for record in first + second]
+    assert got == fresh
+    assert all(answer["status"] == "ok" for answer in got)
+    assert len(_DECOMPOSERS) == len({_kept_key(curve) for curve, _ in first})
+
+
+def test_a_call_past_its_order_cap_leaves_the_kept_data_whole():
+    record = ("y^2 - x*(x - 1)*(x - t)", "1/y")
+    fresh = _fresh_answer(record)
+    capped = _answer(*record, max_order=0)
+    assert capped["status"] == "error" and "MaxOrderExceeded" in capped["error"]
+    assert _answer(*record) == fresh
+
+
+class Interrupted(BaseException):
+    """Stands for a timer signal or Ctrl-C inside a call."""
+
+
+def test_a_call_interrupted_inside_a_complement_feed_leaves_nothing_half_built(
+    monkeypatch,
+):
+    # the first feed stops after the inserts of its degree, before _built
+    # moves; a complement kept in that state would feed that degree again
+    record = ("y^2 - x*(x - 1)*(x - t)", "1/y")
+    fresh = _fresh_answer(record)
+    real_feed = ComplementNV._feed
+    armed = [True]
+
+    def feed(self):
+        if not armed[0]:
+            return real_feed(self)
+        armed[0] = False
+        real_insert, inserted = self._insert, []
+
+        def insert(*args):
+            real_insert(*args)
+            inserted.append(args)
+            if len(inserted) == self.n:
+                raise Interrupted
+
+        self._insert = insert
+        try:
+            real_feed(self)
+        finally:
+            del self._insert
+
+    monkeypatch.setattr(ComplementNV, "_feed", feed)
+    f = build_element(record[1], build_curve(record[0], QT))
+    with pytest.raises(Interrupted):
+        telescope(f)
+    assert not armed[0]
+    assert _answer(*record) == fresh
