@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 
@@ -405,11 +406,19 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         if args.command == "corpus":
-            return _cmd_corpus(args)
-        start = time.monotonic()
-        field, payload = _DISPATCH[args.command](args)
-        _emit(args, field, payload, time.monotonic() - start)
-        return 0
+            code = _cmd_corpus(args)
+        else:
+            start = time.monotonic()
+            field, payload = _DISPATCH[args.command](args)
+            _emit(args, field, payload, time.monotonic() - start)
+            code = 0
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed the output early; stdout goes to devnull so
+        # that the interpreter's final flush stays quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except ExprSyntaxError as exc:
         print(f"syntax error: {exc}", file=sys.stderr)
         return 2

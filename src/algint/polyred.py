@@ -6,11 +6,13 @@ infinity and then reduced modulo the image of the map
 
     phi(p) = (1/u^2) * (a*u*p' - a*u'*p + u*p*B)      (rows p in K[x]^n)
 
-which satisfies (1/a) * phi(p)*V = ((p/u) * p*V)' read row-wise, i.e. phi
+which satisfies (1/a) * phi(p)*V = ((p/u)*V)' read row-wise, i.e. phi
 captures exactly the derivatives of elements with denominator bound u.  The
-complement of the image inside K[x]^n is spanned by monomials below a bound
-read off the top coefficients of B (ComplementNV); a reduced remainder is
-zero iff the integrand was integrable.
+image in K[x]^n is spanned by phi(u*x^k*e_i) = k*x^(k-1)*a*e_i + x^k*B_i
+and the images of the rows of degree < deg u that phi maps into K[x]^n;
+its complement is spanned by monomials below a bound read off the top
+coefficients of B (ComplementNV).  A reduced remainder is zero iff the
+integrand was integrable.
 
 u is taken as b times the square part root of Disc(W), which bounds the
 denominators any antiderivative of the remainder can have.
@@ -33,7 +35,7 @@ from .algfield import (
 )
 from .errors import AlgintError, PreconditionError, SuitabilityFailure
 from .hermite import Presented, lazy_hermite_reduce, product_factors
-from .linalg import char_poly, det, hnf_rows, inverse, mat_mul, vec_mat
+from .linalg import char_poly, det, hnf_rows, inverse, mat_mul, nullspace, transpose, vec_mat
 from .rings import (
     QT,
     Poly,
@@ -217,29 +219,31 @@ class ComplementNV:
     The lemma.  Let a and u be monic, deg B < deg a (V is suitable at
     infinity), delta = deg a - deg u - 1, B_top the coefficient matrix of
     x^(deg a - 1) in B and N(s) = (s - deg u)*I + B_top, singular iff
-    deg u - s is an eigenvalue of B_top.  A row p of degree s
-    with top coefficients c has phi(p) of top part c*N(s) at degree
-    s + delta.  Let s* = max(2 deg u, 1 + the largest integer s >= 0 with
-    det N(s) = 0).  For s >= s*, (1) the rows phi(u^2*x^r*e_i) =
-    a*(u*x^r)'*e_i + u*x^r*B_i, r = s - 2 deg u, are polynomial with the
-    rows of the invertible N(s) as top parts, so every monomial of degree
-    >= s* + delta is a lead; (2) an image row phi(p) with deg p = s has a
-    lead of degree s + delta.  So the generators of degree < s* give every
-    lead below s* + delta, the complement is frozen at s* + delta - 1, and
-    reduce uses (1) above it.
+    deg u - s is an eigenvalue of B_top.  A row p of degree s with top
+    coefficients c has phi(p) of top part c*N(s) at degree s + delta.
 
-    The feed.  Generators u^2*phi(x^s e_i) = s*x^(s-1)*A*e_i + x^s*P_i,
-    with A = a*u and P_i = u*B_i - a*u'*e_i, come in by increasing s.
-    Each polynomial g of one is kept as a pair (Q, R), g = Q*u^2 + R with
-    deg R < 2 deg u, and x*g = (x*Q + c)*u^2 + (x*R - c*u^2) for c the
-    coefficient of x^(2 deg u - 1) in R (u is monic), so no generator
-    costs a product or a division by u^2.  Elimination runs on the R rows
-    and carries the Q rows along.  A combination whose R rows vanish gives
-    its Q rows as an image row; these form an echelon by lead monomial
-    under the order (degree, component), each with the preimage row that
-    maps onto it.  A combination whose Q rows vanish too is a kernel row
-    of phi ((p/u)*V constant, as for u*coords_V(1)); all have degree < s*
-    by (2), and they are kept, since p1 is unique only up to them.
+    The image.  For every row r, phi(u*r) = a*r' + r*B is polynomial, so
+    p = p0 + u*r with deg p0 < deg u has phi(p) polynomial exactly when
+    u^2 divides u^2*phi(p0).  Those p0 form a K-space L, found by one
+    nullspace, and the polynomial rows of im(phi) are spanned by phi(L)
+    and the rows phi(u*x^k*e_i) = k*x^(k-1)*a*e_i + x^k*B_i, whose top
+    part is row i of N(k + deg u) at degree k + deg a - 1.
+
+    The bound.  Let s* = max(deg u, 1 + the largest integer s >= 0 with
+    det N(s) = 0).  For s >= s*, (1) the rows phi(u*x^k*e_i),
+    k = s - deg u, have the rows of the invertible N(s) as top parts, so
+    every monomial of degree >= s* + delta is a lead; (2) an image row
+    phi(p) with deg p = s has a lead of degree s + delta.  So phi(L) and
+    the rows for k < s* - deg u give every lead below s* + delta, the
+    complement is frozen at s* + delta - 1, and reduce uses (1) above it.
+
+    The echelon.  Those rows come in by increasing lead monomial of their
+    preimage, under the order (degree, component), and form an echelon by
+    lead monomial, each with the preimage row that maps onto it.  A row
+    that reduces to zero leaves a kernel row of phi ((p/u)*V constant, as
+    for u*coords_V(1)) whose lead is that of its preimage, so the kernel
+    leads differ; all have degree < s* by (2), and the kernel rows are
+    kept, since p1 is unique only up to them.
     """
 
     def __init__(self, phi, n, field):
@@ -251,77 +255,52 @@ class ComplementNV:
         self.field = field
         self.ring = u.ring
         self.leads = {}
-        self._residue = []
         self._kernel = []
-        self._ulen = 2 * u.degree
-        self._usq = u * u
         self._delta = a.degree - u.degree - 1
-        aup = a * u.derivative()
-        ub = [[u * b for b in row] for row in phi.bmat]
-        # the pairs of x^(s-1)*A and of the rows x^s*P_i for the next s fed
-        self._a_pair = divmod(a * u, self._usq)
-        self._p_rows = [
-            [divmod(p - aup if i == j else p, self._usq) for j, p in enumerate(row)]
-            for i, row in enumerate(ub)
-        ]
-        # phi(u^2*x^r*e_i) = x^r*F_i + r*x^(r-1)*A*e_i, F_i = u*B_i + a*u'*e_i
-        self._f_rows = [
-            [(p + aup if i == j else p).coeffs for j, p in enumerate(row)]
-            for i, row in enumerate(ub)
-        ]
         self._btop = [[p.coeff(a.degree - 1) for p in row] for row in phi.bmat]
-        self._built = -1
         self._frozen = None
 
-    # -- generator feed
+    # -- the image rows
 
-    def _shift(self, pair):
-        """The pair of x*g, given the pair (Q, R) of g."""
-        q, r = pair
-        zero = self.field.zero
-        c = r.coeff(self._ulen - 1)
-        xr = (zero,) + r.coeffs
-        if c:
-            usq = self._usq.coeffs
-            xr = tuple(xr[k] - c * usq[k] for k in range(self._ulen))
-        return Poly(self.ring, (c,) + q.coeffs), Poly(self.ring, xr)
+    def _low_rows(self):
+        """(phi(p0), p0) for the basis of L that nullspace gives.  Its
+        columns are the monomials x^d*e_i, d < deg u, ascending, with
+        u^2*phi(x^d*e_i) = (a*u*(x^d)' - a*u'*x^d)*e_i + u*x^d*B_i taken
+        modulo u^2, so each p0 has its free column as lead and the leads
+        ascend."""
+        u, ring, n = self.phi.u, self.ring, self.n
+        usq = u * u
+        au, aup = self.phi.a * u, self.phi.a * u.derivative()
+        pres, images = [], []
+        for d in range(u.degree):
+            xd = ring.monomial(ring.coeff.one, d)
+            uxd, diag = u * xd, au * xd.derivative() - aup * xd
+            for i, brow in enumerate(self.phi.bmat):
+                pres.append(tuple(xd if j == i else ring.zero for j in range(n)))
+                image = [uxd * b for b in brow]
+                image[i] = image[i] + diag
+                images.append(image)
+        cols = []
+        for image in images:
+            rems = [g % usq for g in image]
+            cols.append([r.coeff(k) for r in rems for k in range(2 * u.degree)])
+        for vec in nullspace(transpose(cols), self.field):
+            pre, image = (
+                [sum((c * v[j] for c, v in zip(vec, rows) if c), ring.zero) for j in range(n)]
+                for rows in (pres, images)
+            )
+            yield [g.exact_div(usq) for g in image], tuple(pre)
 
-    def _feed(self):
-        s = self._built + 1
+    def _u_row(self, k, i):
+        """phi(u*x^k*e_i) = a*(x^k)'*e_i + x^k*B_i and its preimage."""
         ring = self.ring
-        qa, ra = self._a_pair
-        for i, row in enumerate(self._p_rows):
-            quo = [q for q, _ in row]
-            res = [r for _, r in row]
-            if s:
-                quo[i] = quo[i] + qa.scale(s)
-                res[i] = res[i] + ra.scale(s)
-            pre = [ring.zero] * self.n
-            pre[i] = ring.monomial(ring.coeff.one, s)
-            self._insert(quo, res, tuple(pre))
-        self._p_rows = [[self._shift(pair) for pair in row] for row in self._p_rows]
-        if s:
-            self._a_pair = self._shift(self._a_pair)
-        self._built = s
+        xk = ring.monomial(ring.coeff.one, k)
+        row = [xk * b for b in self.phi.bmat[i]]
+        row[i] = row[i] + self.phi.a * xk.derivative()
+        pre = tuple(self.phi.u * xk if j == i else ring.zero for j in range(self.n))
+        return row, pre
 
-    def _insert(self, quo, res, pre):
-        preim = list(pre)
-        for entry in self._residue:
-            piv = entry["pivot"]
-            c = res[piv[0]].coeff(piv[1])
-            if c != self.field.zero:
-                scale = c / entry["res"][piv[0]].coeff(piv[1])
-                res = [a - scale * b for a, b in zip(res, entry["res"])]
-                quo = [a - scale * b for a, b in zip(quo, entry["quo"])]
-                preim = [a - scale * b for a, b in zip(preim, entry["preim"])]
-        nonzero = ((j, k) for j, r in enumerate(res) for k, c in enumerate(r.coeffs) if c)
-        pivot = next(nonzero, None)
-        if pivot is None:
-            self._insert_intersection(tuple(quo), tuple(preim))
-            return
-        self._residue.append({"res": res, "quo": quo, "preim": preim, "pivot": pivot})
-
-    def _insert_intersection(self, w, pre):
+    def _insert(self, w, pre):
         row, preim = list(w), list(pre)
         while True:
             lead = self._lead_monomial(row)
@@ -344,45 +323,48 @@ class ComplementNV:
     # -- the bound
 
     def ensure_stable(self):
-        """Feed the generators of degree < s* and freeze the complement at
-        s* + delta - 1."""
+        """Insert phi(L) and the rows phi(u*x^k*e_i) for k < s* - deg u,
+        and freeze the complement at s* + delta - 1."""
         if self._frozen is not None:
             return
         du = self.phi.u.degree
         eigen = integer_roots(char_poly(self._btop, self.field), self.field)
-        s_star = max([self._ulen] + [du - r + 1 for r in eigen if du - r >= 0])
-        while self._built < s_star - 1:
-            self._feed()
+        s_star = max([du] + [du - r + 1 for r in eigen if du - r >= 0])
+        for row, pre in self._low_rows():
+            self._insert(row, pre)
+        for k in range(s_star - du):
+            for i in range(self.n):
+                self._insert(*self._u_row(k, i))
         self._frozen = s_star + self._delta - 1
 
     def _reduce_above(self, row):
         """(p, q) with row = phi(p) + q and deg q < s* + delta, by (1) from
         the top degree down on dense coefficient lists, so that each degree
-        costs one solve against N(s) and a fixed number of field operations:
-        p = u^2 * sum c_(i,r)*x^r*e_i."""
+        costs one solve against N(s) = k*I + B_top, k = s - deg u, and a
+        fixed number of field operations: p = u * sum c_(i,k)*x^k*e_i."""
         top, bound = _max_deg([row]), max(self._frozen + 1, 0)
         zero = self.field.zero
+        shift = self._delta + self.phi.u.degree
         q = [list(p.coeffs) + [zero] * (top + 1 - len(p.coeffs)) for p in row]
-        pre = [[zero] * (top - self._delta - self._ulen + 1) for _ in range(self.n)]
-        au = (self.phi.a * self.phi.u).coeffs
-        for k in range(top, bound - 1, -1):
-            vec = [qj[k] for qj in q]
+        pre = [[zero] * (top - shift + 1) for _ in range(self.n)]
+        a = self.phi.a.coeffs
+        for deg in range(top, bound - 1, -1):
+            vec = [qj[deg] for qj in q]
             if not any(vec):
                 continue
-            s = k - self._delta
-            r = s - self._ulen
-            lam = self.field.from_int(s - self.phi.u.degree)
+            k = deg - shift
+            lam = self.field.from_int(k)
             nmat = [[c + lam if i == j else c for j, c in enumerate(brow)]
                     for i, brow in enumerate(self._btop)]
             for i, c in enumerate(vec_mat(vec, inverse(nmat, self.field))):
                 if c:
-                    pre[i][r] = c
-                    for qj, f in zip(q, self._f_rows[i]):
-                        _subtract(qj, r, c, f)
-                    if r:
-                        _subtract(q[i], r - 1, c * r, au)
+                    pre[i][k] = c
+                    for qj, b in zip(q, self.phi.bmat[i]):
+                        _subtract(qj, k, c, b.coeffs)
+                    if k:
+                        _subtract(q[i], k - 1, c * k, a)
         ring = self.ring
-        return [self._usq * Poly(ring, c) for c in pre], [Poly(ring, qj) for qj in q]
+        return [self.phi.u * Poly(ring, c) for c in pre], [Poly(ring, qj) for qj in q]
 
     # -- public views
 
@@ -511,7 +493,7 @@ class Decomposer:
     data of each final basis W and D_t on each pair (W, V), both keyed by
     W's elements, and the image complement per (u, a).  Each is built on
     first use and kept only once complete (a complement once ensure_stable
-    has fed it), so a call interrupted midway leaves nothing half built and
+    has built it), so a call interrupted midway leaves nothing half built and
     one Decomposer can serve every integrand on its curve: telescope keeps
     one per curve, additive_decompose makes one per call."""
 

@@ -9,7 +9,6 @@ from algint.algfield import Curve, FieldBasis, power_basis
 from algint.errors import DomainError
 from algint.linalg import det, mat, transpose, vec_mat
 from algint.parsing import build_curve, build_element, parse_expression
-from algint.polyred import ComplementNV, _max_deg
 from algint.rings import (
     QQ, QT, POLY_X_QQ, RAT_X_QQ, T_POLY, FracField, Poly, PolyRing,
     common_denominator, gcd, squarefree_decomposition, x_frac_field, x_poly_ring,
@@ -221,18 +220,28 @@ def apply_tilde(phi, row):
     )
 
 
+def phi_row(phi, pre):
+    """phi(pre) for a PhiMap phi and a row pre whose image is polynomial."""
+    usq = phi.u * phi.u
+    return tuple(g.exact_div(usq) for g in apply_tilde(phi, pre))
+
+
 def complement_is_final(comp, extra=24):
-    """Feed comp's generators extra degrees past its bound; True if that
-    adds no standard monomial and the monomial rows extra degrees past the
-    frozen bound still reduce onto the old standard monomials."""
+    """Continue comp's echelon with the rows phi(u*x^k*e_i) for extra more
+    values of k past its bound; True if that adds no standard monomial and
+    the monomial rows extra degrees past the frozen bound still reduce onto
+    the old standard monomials."""
     before = comp.standard_monomials()
-    stop = comp._built + extra
-    while comp._built < stop:
-        comp._feed()
+    ring, u = comp.ring, comp.phi.u
+    start = comp._frozen - comp._delta + 1 - u.degree  # s* - deg u
+    for k in range(start, start + extra):
+        for i in range(comp.n):
+            pre = tuple(u * ring.monomial(ring.coeff.one, k) if j == i else ring.zero
+                        for j in range(comp.n))
+            comp._insert(phi_row(comp.phi, pre), pre)
     if comp.standard_monomials() != before:
         return False
     top = comp._frozen + extra
-    ring = comp.ring
     for j in range(comp.n):
         row = [ring.zero] * comp.n
         row[j] = ring.monomial(ring.coeff.one, top)
@@ -260,15 +269,116 @@ def discriminant(elements):
     return det(mat(rows), xfrac)
 
 
-class _ReferenceComplement(ComplementNV):
-    """ComplementNV on the window schedule it had before its proved bound:
-    feed generators to degree 8 (further if the margin needs it), then 4
-    more per round until the margin above the largest standard monomial is
-    covered by leads, and give up past degree 600; reduce feeds on to the
-    degree of each lead plus the margin and uses the echelon alone."""
+class _ReferenceComplement:
+    """The image complement of phi by the generator feed, on the window
+    schedule it had before its proved bound.
+
+    The generators u^2*phi(x^s e_i) = s*x^(s-1)*A*e_i + x^s*P_i, with
+    A = a*u and P_i = u*B_i - a*u'*e_i, come in by increasing s.  Each
+    polynomial g of one is kept as a pair (Q, R), g = Q*u^2 + R with
+    deg R < 2 deg u, and x*g = (x*Q + c)*u^2 + (x*R - c*u^2) for c the
+    coefficient of x^(2 deg u - 1) in R.  Elimination runs on the R rows
+    and carries the Q rows along; a combination whose R rows vanish gives
+    its Q rows as an image row, kept in an echelon by lead monomial with
+    the preimage row that maps onto it, and one whose Q rows vanish too
+    is a kernel row of phi.
+
+    The schedule: feed generators to degree 8 (further if the margin needs
+    it), then 4 more per round until the margin above the largest standard
+    monomial is covered by leads, and give up past degree 600; reduce
+    feeds on to the degree of each lead plus the margin and uses the
+    echelon alone."""
+
+    def __init__(self, phi, n, field):
+        u, a = phi.u, phi.a
+        self.phi = phi
+        self.n = n
+        self.field = field
+        self.ring = u.ring
+        self.leads = {}
+        self._residue = []
+        self._kernel = []
+        self._ulen = 2 * u.degree
+        self._usq = u * u
+        aup = a * u.derivative()
+        # the pairs of x^(s-1)*A and of the rows x^s*P_i for the next s fed
+        self._a_pair = divmod(a * u, self._usq)
+        self._p_rows = [
+            [divmod(u * p - aup if i == j else u * p, self._usq) for j, p in enumerate(row)]
+            for i, row in enumerate(phi.bmat)
+        ]
+        self._built = -1
+        self._frozen = None
+
+    def _shift(self, pair):
+        """The pair of x*g, given the pair (Q, R) of g."""
+        q, r = pair
+        zero = self.field.zero
+        c = r.coeff(self._ulen - 1)
+        xr = (zero,) + r.coeffs
+        if c:
+            usq = self._usq.coeffs
+            xr = tuple(xr[k] - c * usq[k] for k in range(self._ulen))
+        return Poly(self.ring, (c,) + q.coeffs), Poly(self.ring, xr)
+
+    def _feed(self):
+        s = self._built + 1
+        ring = self.ring
+        qa, ra = self._a_pair
+        for i, row in enumerate(self._p_rows):
+            quo = [q for q, _ in row]
+            res = [r for _, r in row]
+            if s:
+                quo[i] = quo[i] + qa.scale(s)
+                res[i] = res[i] + ra.scale(s)
+            pre = [ring.zero] * self.n
+            pre[i] = ring.monomial(ring.coeff.one, s)
+            self._insert(quo, res, tuple(pre))
+        self._p_rows = [[self._shift(pair) for pair in row] for row in self._p_rows]
+        if s:
+            self._a_pair = self._shift(self._a_pair)
+        self._built = s
+
+    def _insert(self, quo, res, pre):
+        preim = list(pre)
+        for entry in self._residue:
+            piv = entry["pivot"]
+            c = res[piv[0]].coeff(piv[1])
+            if c != self.field.zero:
+                scale = c / entry["res"][piv[0]].coeff(piv[1])
+                res = [a - scale * b for a, b in zip(res, entry["res"])]
+                quo = [a - scale * b for a, b in zip(quo, entry["quo"])]
+                preim = [a - scale * b for a, b in zip(preim, entry["preim"])]
+        nonzero = ((j, k) for j, r in enumerate(res) for k, c in enumerate(r.coeffs) if c)
+        pivot = next(nonzero, None)
+        if pivot is None:
+            self._insert_intersection(tuple(quo), tuple(preim))
+            return
+        self._residue.append({"res": res, "quo": quo, "preim": preim, "pivot": pivot})
+
+    def _insert_intersection(self, w, pre):
+        row, preim = list(w), list(pre)
+        while True:
+            lead = self._lead_monomial(row)
+            if lead is None:
+                self._kernel.append((self._lead_monomial(preim), preim))
+                return
+            hit = self.leads.get(lead)
+            if hit is None:
+                break
+            c = row[lead[1]].coeff(lead[0])
+            row = [a - c * b for a, b in zip(row, hit["row"])]
+            preim = [a - c * b for a, b in zip(preim, hit["preim"])]
+        inv = self.field.one / row[lead[1]].coeff(lead[0])
+        row, preim = [inv * p for p in row], [inv * p for p in preim]
+        self.leads[lead] = {"row": row, "preim": preim}
+
+    def _lead_monomial(self, row):
+        return max(((p.degree, j) for j, p in enumerate(row) if p), default=None)
 
     def _margin(self):
-        return max(self.phi.a.degree, _max_deg(self.phi.bmat), 0) + self._ulen + 1
+        top_b = max((p.degree for row in self.phi.bmat for p in row), default=-1)
+        return max(self.phi.a.degree, top_b, 0) + self._ulen + 1
 
     def _covered(self, k):
         return all((k, j) in self.leads for j in range(self.n))
@@ -301,6 +411,11 @@ class _ReferenceComplement(ComplementNV):
         while self._built < degree + self._margin():
             self._feed()
 
+    def standard_monomials(self):
+        self.ensure_stable()
+        monos = ((k, j) for k in range(self._frozen + 1) for j in range(self.n))
+        return tuple(m for m in monos if m not in self.leads)
+
     def reduce(self, row):
         self.ensure_stable()
         q = list(row)
@@ -327,8 +442,8 @@ class _ReferenceComplement(ComplementNV):
 
 
 def reference_complement(phi, n, field):
-    """The image complement of phi built on the window schedule, an oracle
-    for ComplementNV's proved bound."""
+    """The image complement of phi built by the generator feed on the
+    window schedule, an oracle for ComplementNV."""
     return _ReferenceComplement(phi, n, field)
 
 

@@ -427,6 +427,26 @@ def test_cli_import_leaves_the_process_pool_out():
     assert done.stdout.strip() == "False"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["corpus", str(ROOT / "data" / "desk_corpus.jsonl"), "--format", "structured"],
+        ["integrate", "--curve", "y^2 - x", "--integrand", "y"],
+    ],
+    ids=["corpus", "integrate"],
+)
+def test_cli_output_closed_early_exits_1_without_a_traceback(argv):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    child = subprocess.Popen(
+        [sys.executable, "-m", "algint.cli", *argv],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+    )
+    child.stdout.close()  # long before the child has imported algint
+    err = child.stderr.read()
+    assert child.wait() == 1
+    assert err == ""
+
+
 def test_cli_structured_output_is_deterministic(capsys):
     argv = [
         "telescope", "--curve", "y^2 - x*(x - 1)*(x - t)",

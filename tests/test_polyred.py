@@ -11,6 +11,7 @@ from algint.hermite import lazy_hermite_reduce
 from algint.parsing import build_curve, build_element
 from algint import polyred
 from algint.errors import PreconditionError
+from algint.linalg import inverse, mat_mul
 from algint.polyred import (
     ComplementNV,
     Decomposer,
@@ -206,26 +207,10 @@ def test_phi_matches_derivative_of_quotient(parabola):
     assert lhs == rhs
 
 
-def _fed_rows(comp, top):
-    """(pre, Q, R) of every generator the complement feeds up to degree top,
-    where pre is the monomial row x^s e_i it is the image of."""
-    fed = []
-    insert = comp._insert
-
-    def record(quo, res, pre):
-        fed.append((pre, tuple(quo), tuple(res)))
-        insert(quo, res, pre)
-
-    comp._insert = record
-    while comp._built < top:
-        comp._feed()
-    return fed
-
-
 def _complement(curve, second):
     """A complement not yet built: for u = x^2 + 1 when second is None,
     else for the u and a that decompose finds over the basis (1, second).
-    Decomposer.complement returns its complement fed to the bound, so a
+    Decomposer.complement returns its complement built to the bound, so a
     fresh one is made on the same phi."""
     dec = Decomposer(curve)
     if second is None:
@@ -239,30 +224,6 @@ def _complement(curve, second):
     return ComplementNV(built.phi, curve.n, curve.field)
 
 
-@pytest.mark.parametrize(
-    "curve_text, field, second, u_text",
-    [
-        ("y^2 - x", QQ, None, "x^2 + 1"),
-        ("y^2 - x", QQ, "y", "1"),
-        ("y^2 - x^2*(x-1)", QQ, "y", "x"),
-        ("y^2 - x*(x - 1)*(x - t)", QT, "(x - t)*y", "x - t"),
-        ("y^2 - x*(x - 1)*(x - t)", QT, "y", "1"),
-    ],
-    ids=["parabola", "parabola-u1", "node", "legendre", "legendre-u1"],
-)
-def test_fed_rows_split_the_generators_by_u_squared(curve_text, field, second, u_text):
-    curve = build_curve(curve_text, field)
-    comp = _complement(curve, second)
-    phi = comp.phi
-    assert str(phi.u) == u_text
-    usq = phi.u * phi.u
-    fed = _fed_rows(comp, 12)
-    assert len(fed) == 13 * curve.n
-    for pre, quo, res in fed:
-        assert all(r.degree < 2 * phi.u.degree for r in res)
-        assert tuple(q * usq + r for q, r in zip(quo, res)) == apply_tilde(phi, pre)
-
-
 def test_complement_standard_monomials_frozen(parabola):
     dec = Decomposer(parabola)
     inf = dec.inf_basis
@@ -271,7 +232,7 @@ def test_complement_standard_monomials_frozen(parabola):
 
 
 def test_complement_dimension_schedule_independent(parabola, cusp, trefoil):
-    # feeding generators past the proved bound must not change the
+    # inserting image rows past the proved bound must not change the
     # complement frozen there
     for curve in (parabola, cusp, trefoil):
         dec = Decomposer(curve)
@@ -425,7 +386,7 @@ def _hand_made(btop_diag, u, a_degree, field=QQ):
     "btop_diag, u, field, s_star",
     [
         ((Fraction(-5), Fraction(1, 2)), P(1, 1), QQ, 7),  # root 5 + deg u = 6
-        ((Fraction(-1, 3), Fraction(2)), P(1, 1), QQ, 2),  # no root: 2 deg u
+        ((Fraction(-1, 3), Fraction(2)), P(1, 1), QQ, 1),  # no root: deg u
         ((Fraction(0), Fraction(7)), R.one, QQ, 1),  # root s = 0 only
         ((-T, _qt(-4)), POLY_X_QT.gen + POLY_X_QT.one, QT, 6),  # t is no integer
     ],
@@ -435,7 +396,6 @@ def test_complement_bound_on_hand_made_top_matrix(btop_diag, u, field, s_star):
     comp = _hand_made(btop_diag, u, 3, field)
     comp.ensure_stable()
     delta = comp.phi.a.degree - u.degree - 1
-    assert comp._built == s_star - 1
     assert comp._frozen == s_star + delta - 1
     assert all(k <= comp._frozen for k, _ in comp.leads)
     assert complement_is_final(comp)
@@ -539,6 +499,70 @@ def test_complement_agrees_with_window_schedule(label, data):
         row = [ring.zero] * comp.n
         for j, k, c in terms:
             row[j] = row[j] + ring.monomial(field.coerce(c), k)
+        assert comp.reduce(tuple(row)) == ref.reduce(tuple(row))
+
+
+_ROOTS = (0, 1, -1, 2)
+
+
+@st.composite
+def _random_phis(draw):
+    """A PhiMap over QQ with n <= 3: u = (x - r)^2*w or w, w of degree at
+    most 1, a a product of up to three linear factors from the same roots
+    (so it often shares one with u), and B of degree < deg a whose top
+    matrix S*T*S^-1 has T upper triangular with planted eigenvalues, most
+    of them integers in -4..2, so that s* often comes from a root."""
+    n = draw(st.integers(1, 3))
+    square = draw(st.sampled_from((None,) + _ROOTS))
+    u_roots = ([square] * 2 if square is not None else []) + draw(
+        st.lists(st.sampled_from(_ROOTS), max_size=1))
+    a_roots = draw(st.lists(st.sampled_from(_ROOTS), min_size=1, max_size=3))
+    u, a = R.one, R.one
+    for r in u_roots:
+        u = u * P(-r, 1)
+    for r in a_roots:
+        a = a * P(-r, 1)
+    eigen = st.one_of(st.integers(-4, 2).map(Fraction), st.just(Fraction(1, 2)))
+    upper = {(i, j): draw(small_fractions) for i in range(n) for j in range(i + 1, n)}
+    tmat = [[draw(eigen) if i == j else upper.get((i, j), Fraction(0)) for j in range(n)]
+            for i in range(n)]
+    smat = [[Fraction(1) if i == j else Fraction(draw(st.integers(-2, 2))) if j < i
+             else Fraction(0) for j in range(n)] for i in range(n)]
+    btop = mat_mul(mat_mul(smat, tmat), inverse(smat, QQ))
+    low = a.degree - 1
+    bmat = tuple(
+        tuple(R.poly([draw(small_fractions) for _ in range(low)] + [btop[i][j]])
+              for j in range(n))
+        for i in range(n)
+    )
+    return PhiMap(u=u, a=a, bmat=bmat)
+
+
+@settings(max_examples=40)
+@given(phi=_random_phis(), data=st.data())
+def test_complement_on_random_phi_agrees_with_the_generator_feed(phi, data):
+    n = len(phi.bmat)
+    comp = ComplementNV(phi, n, QQ)
+    inserted = []
+    insert = comp._insert
+
+    def record(row, pre):
+        inserted.append((row, pre))
+        insert(row, pre)
+
+    comp._insert = record
+    ref = reference_complement(phi, n, QQ)
+    assert comp.standard_monomials() == ref.standard_monomials()
+    usq = phi.u * phi.u
+    assert all(apply_tilde(phi, pre) == tuple(usq * p for p in row) for row, pre in inserted)
+    for _ in range(3):
+        terms = data.draw(st.lists(
+            st.tuples(st.integers(0, n - 1), st.integers(0, 20), small_fractions),
+            min_size=1, max_size=5,
+        ))
+        row = [R.zero] * n
+        for j, k, c in terms:
+            row[j] = row[j] + R.monomial(c, k)
         assert comp.reduce(tuple(row)) == ref.reduce(tuple(row))
 
 

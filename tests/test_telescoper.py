@@ -305,32 +305,21 @@ class Interrupted(BaseException):
 def test_a_call_interrupted_inside_a_complement_feed_leaves_nothing_half_built(
     monkeypatch,
 ):
-    # the first feed stops after the inserts of its degree, before _built
-    # moves; a complement kept in that state would feed that degree again
+    # the first build stops after its first insert that adds an echelon
+    # row; a complement kept in that state would insert that row again and
+    # keep a zero kernel row
     record = ("y^2 - x*(x - 1)*(x - t)", "1/y")
     fresh = _fresh_answer(record)
-    real_feed = ComplementNV._feed
+    real_insert = ComplementNV._insert
     armed = [True]
 
-    def feed(self):
-        if not armed[0]:
-            return real_feed(self)
-        armed[0] = False
-        real_insert, inserted = self._insert, []
+    def insert(self, row, pre):
+        real_insert(self, row, pre)
+        if armed[0] and self.leads:
+            armed[0] = False
+            raise Interrupted
 
-        def insert(*args):
-            real_insert(*args)
-            inserted.append(args)
-            if len(inserted) == self.n:
-                raise Interrupted
-
-        self._insert = insert
-        try:
-            real_feed(self)
-        finally:
-            del self._insert
-
-    monkeypatch.setattr(ComplementNV, "_feed", feed)
+    monkeypatch.setattr(ComplementNV, "_insert", insert)
     f = build_element(record[1], build_curve(record[0], QT))
     with pytest.raises(Interrupted):
         telescope(f)
