@@ -108,7 +108,7 @@ class Curve:
         # inverse of p modulo m; a nontrivial gcd certifies that m factors
         if not p:
             raise DomainError("inversion of zero")
-        g, s, _ = ext_gcd(p, self.m)
+        g, s = ext_gcd(p, self.m)
         if g.degree > 0:
             raise CurveReducible(g)
         return s % self.m

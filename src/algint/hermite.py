@@ -10,7 +10,10 @@ A = (uv/e)*M - (d-1)*u*v'*I.  Its rest over den/v carries the
 factorisation with v at multiplicity d-1, and presenting it cancels only
 what the numerators share with a factor, so squarefree_decomposition runs
 only on an integrand given as a field element or presented over a new
-basis.  When A is singular modulo a factor w of v, Bronstein's lemma turns
+basis.  A depends on the basis and (den, v, d) alone (StepSystem), so a
+table of the systems solved before, which polyred.Decomposer keeps per
+curve, turns a repeated step into one product with the inverse of A mod
+v.  When A is singular modulo a factor w of v, Bronstein's lemma turns
 every row vector c with c*A = 0 mod w and c nonzero mod w into an integral
 element (1/w) * c*W outside the module (basis_update).  The module is
 enlarged by that one element for the first row kernel vector of the solve,
@@ -31,7 +34,7 @@ from typing import NamedTuple, Optional
 
 from .algfield import AlgElem, FieldBasis, initial_suitable_basis, make_suitable
 from .errors import AlgintError, UpdateCandidatesExhausted
-from .linalg import SolveOutcome, solve_mod, vec_mat
+from .linalg import SolveLeaf, SolveOutcome, solve_mod, vec_mat
 from .rings import Poly, common_denominator, gcd, squarefree_decomposition
 
 
@@ -171,18 +174,21 @@ def _remainder(pres):
     return Remainder(basis, q.exact_div(g), tuple(a * scale for a in pres.numer))
 
 
-def hermite_step(pres):
-    """One reduction step on the repeated pole (v, d) = pres.factors[-1],
-    u = den/v^d.  Solves b*(uv/e * M - (d-1)*u*v'*I) = numer mod v.
+class StepSystem(NamedTuple):
+    """The system of a step on the pole (v, d) = factors[-1] of a form with
+    denominator den over a basis: vpow = v^(d-1), uv = den/vpow and
+    matrix = uv/e * M - (d-1)*u*v'*I.  None of it depends on the numerator.
+    inverse is matrix^-1 mod v once a solve found the system unique without
+    splitting v, else None."""
 
-    A unique solution yields g = (1/v^(d-1)) * b*W and the reduced rest of
-    the integrand, factored as den with v at multiplicity d-1,
+    vpow: Poly
+    uv: Poly
+    matrix: tuple
+    inverse: Optional[tuple] = None
 
-        f - g' = (1/(u*v^(d-1))) * ((numer - u*v*b' - b*A)/v)*W.
 
-    A degenerate system is returned with its solve outcome, whose leaves
-    carry the row kernels basis_update takes its element from.
-    """
+def step_system(pres):
+    """The StepSystem of pres, without its inverse."""
     basis = pres.basis
     ring = basis.curve.xring
     v, d = pres.factors[-1]
@@ -197,20 +203,63 @@ def hermite_step(pres):
         )
         for i, row in enumerate(basis.mmat)
     )
-    outcome = solve_mod(matrix, pres.numer, v, ring)
-    if outcome.status != "unique":
-        return StepDegenerate(presentation=pres, outcome=outcome)
+    return StepSystem(vpow, uv, matrix)
+
+
+def hermite_step(pres, systems=None):
+    """One reduction step on the repeated pole (v, d) = pres.factors[-1],
+    u = den/v^d.  Solves b*A = numer mod v for A the matrix of its
+    StepSystem, uv/e * M - (d-1)*u*v'*I.
+
+    A unique solution yields g = (1/v^(d-1)) * b*W and the reduced rest of
+    the integrand, factored as den with v at multiplicity d-1,
+
+        f - g' = (1/(u*v^(d-1))) * ((numer - u*v*b' - b*A)/v)*W.
+
+    A degenerate system is returned with its solve outcome, whose leaves
+    carry the row kernels basis_update takes its element from.
+
+    systems, when given, maps (basis elements, den, v, d) to the systems
+    whose inverse a solve found: a step on a kept system takes
+    b = (numer mod v)*inverse mod v and solves nothing, and a solve that
+    finds an inverse keeps its system there.  b is the one solution with
+    entries of degree below deg v either way, and the exact division by v
+    above checks it.
+    """
+    basis = pres.basis
+    v, d = pres.factors[-1]
+    key = system = None
+    if systems is not None:
+        key = (basis.elements, pres.den, v, d)
+        system = systems.get(key)
+    if system is None:
+        system = step_system(pres)
+        outcome = solve_mod(system.matrix, pres.numer, v, basis.curve.xring)
+        if outcome.status != "unique":
+            return StepDegenerate(presentation=pres, outcome=outcome)
+        if key is not None and outcome.inverse is not None:
+            systems[key] = system._replace(inverse=outcome.inverse)
+    else:
+        outcome = _kept_outcome(system, pres.numer, v)
     b = outcome.solution
     rest_numer = tuple(
-        (a - uv * bi.derivative() - bm).exact_div(v)
-        for a, bi, bm in zip(pres.numer, b, vec_mat(b, matrix))
+        (a - system.uv * bi.derivative() - bm).exact_div(v)
+        for a, bi, bm in zip(pres.numer, b, vec_mat(b, system.matrix))
     )
     rest_factors = _merge(pres.factors[:-1] + ((v, d - 1),))
     return StepReduced(
-        g_part=basis.element(vpow, b),
+        g_part=basis.element(system.vpow, b),
         rest=Presented(basis, pres.den.exact_div(v), rest_numer, rest_factors),
         outcome=outcome,
     )
+
+
+def _kept_outcome(system, numer, v):
+    """The outcome solve_mod gives on a system with an inverse: one unique
+    leaf, whose solution is the numerator mod v times the inverse."""
+    b = tuple(c % v for c in vec_mat(tuple(a % v for a in numer), system.inverse))
+    leaf = SolveLeaf(v, "unique", b, (), None, system.inverse)
+    return SolveOutcome("unique", b, (leaf,))
 
 
 def basis_update(step):
@@ -245,7 +294,7 @@ def basis_update(step):
     return theta
 
 
-def lazy_hermite_reduce(f, basis: Optional[FieldBasis] = None):
+def lazy_hermite_reduce(f, basis: Optional[FieldBasis] = None, systems=None):
     """Reduce f to g' + h with h having only simple poles.
 
     f is a field element, reduced from basis (an initial suitable basis
@@ -258,7 +307,8 @@ def lazy_hermite_reduce(f, basis: Optional[FieldBasis] = None):
     update presents the current integrand anew, over the enlarged basis.
     Every basis presented over is suitable (make_suitable), so every form
     has gcd(u, v) = 1.  The form left with simple poles becomes the
-    Remainder once, at exit.
+    Remainder once, at exit.  systems, a table of step systems, goes to
+    every hermite_step.
 
     Termination: a reduction step leaves a rest whose denominator divides
     u*v^(d-1), and every factor of u has multiplicity below d, so on an
@@ -279,7 +329,7 @@ def lazy_hermite_reduce(f, basis: Optional[FieldBasis] = None):
         d = pres.factors[-1][1]
         if last_d is not None and d >= last_d:
             raise AlgintError(f"a reduction step left pole order {d}, not below {last_d}")
-        step = hermite_step(pres)
+        step = hermite_step(pres, systems)
         if isinstance(step, StepDegenerate):
             theta = basis_update(step)
             adjoined.append(theta)

@@ -225,6 +225,8 @@ class SolveLeaf:
     kernel: tuple               # basis of row vectors c with c*A = 0 mod modulus,
                                 # empty exactly when the leaf is unique
     witness: tuple | None       # (w, residual): A*w = 0, rhs.w = residual != 0
+    inverse: tuple | None = None  # A^-1 mod modulus when unique, so that
+                                  # s = rhs*inverse mod modulus for every rhs
 
 
 @dataclass(frozen=True)
@@ -233,6 +235,11 @@ class SolveOutcome:
                                 # "underdetermined" if any leaf is, else "unique"
     solution: tuple | None      # CRT of the leaf solutions unless inconsistent
     leaves: tuple
+
+    @property
+    def inverse(self):
+        """A^-1 mod v for a unique solve that never split v, else None."""
+        return self.leaves[0].inverse if len(self.leaves) == 1 else None
 
 
 def solve_mod(a_mat, rhs, v, ring):
@@ -328,5 +335,10 @@ def _solve_leaves(a_mat, rhs, v, ring):
     solution = [ring.zero] * n
     for col, piv in pivot_of_col.items():
         solution[col] = lc[piv]
-    status = "underdetermined" if kernel else "unique"
-    return [SolveLeaf(v, status, tuple(solution), kernel, None)]
+    if kernel:
+        return [SolveLeaf(v, "underdetermined", tuple(solution), kernel, None)]
+    # every column has a pivot, so L*A^T is the permutation with a 1 at
+    # (pivot_of_col[col], col), and A^T has the inverse with rows
+    # L[pivot_of_col[col]]
+    inverse = transpose([lmat[pivot_of_col[col]] for col in range(n)])
+    return [SolveLeaf(v, "unique", tuple(solution), kernel, None, inverse)]

@@ -20,6 +20,7 @@ denominators any antiderivative of the remainder can have.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass
 from itertools import count
 from math import isqrt, lcm
@@ -263,33 +264,39 @@ class ComplementNV:
     # -- the image rows
 
     def _low_rows(self):
-        """(phi(p0), p0) for the basis of L that nullspace gives.  Its
-        columns are the monomials x^d*e_i, d < deg u, ascending, with
-        u^2*phi(x^d*e_i) = (a*u*(x^d)' - a*u'*x^d)*e_i + u*x^d*B_i taken
-        modulo u^2, so each p0 has its free column as lead and the leads
-        ascend."""
+        """(phi(p0), p0) for the basis of L that nullspace gives.  With
+        B_ij = Q_ij*u + R_ij, a = Q_a*u^2 + R_a and w_j = u*p_j' - u'*p_j,
+
+            u^2*phi(p) = u^2*(Q_a*w + p*Q) + R_a*w + u*p*R,
+
+        so phi(p) is polynomial exactly when u^2 divides R_a*w + u*p*R.
+        The nullspace columns are that row for the monomials x^d*e_i,
+        d < deg u, ascending, modulo u^2, where u*x^d*R_ij is
+        u*((x^d*R_ij) mod u); so each p0 has its free column as lead and the
+        leads ascend.  Only the rows of L are mapped in full."""
         u, ring, n = self.phi.u, self.ring, self.n
-        usq = u * u
-        au, aup = self.phi.a * u, self.phi.a * u.derivative()
-        pres, images = [], []
-        for d in range(u.degree):
-            xd = ring.monomial(ring.coeff.one, d)
-            uxd, diag = u * xd, au * xd.derivative() - aup * xd
-            for i, brow in enumerate(self.phi.bmat):
-                pres.append(tuple(xd if j == i else ring.zero for j in range(n)))
-                image = [uxd * b for b in brow]
-                image[i] = image[i] + diag
-                images.append(image)
+        du, usq, up = u.degree, u * u, u.derivative()
+        qa, ra = divmod(self.phi.a, usq)
+        split = [[divmod(b, u) for b in brow] for brow in self.phi.bmat]
         cols = []
-        for image in images:
-            rems = [g % usq for g in image]
-            cols.append([r.coeff(k) for r in rems for k in range(2 * u.degree)])
+        for d in range(du):
+            xd = ring.monomial(ring.coeff.one, d)
+            diag = (ra * (u * xd.derivative() - up * xd)) % usq
+            for i, brow in enumerate(split):
+                col = [u * ((xd * r) % u) for _, r in brow]
+                col[i] = col[i] + diag
+                cols.append([p.coeff(k) for p in col for k in range(2 * du)])
         for vec in nullspace(transpose(cols), self.field):
-            pre, image = (
-                [sum((c * v[j] for c, v in zip(vec, rows) if c), ring.zero) for j in range(n)]
-                for rows in (pres, images)
-            )
-            yield [g.exact_div(usq) for g in image], tuple(pre)
+            pre = tuple(Poly(ring, vec[i::n]) for i in range(n))
+            row = []
+            for j, q in enumerate(pre):
+                w = u * q.derivative() - up * q
+                high, low = qa * w, ra * w
+                for p, brow in zip(pre, split):
+                    if p:
+                        high, low = high + p * brow[j][0], low + u * p * brow[j][1]
+                row.append(high + low.exact_div(usq))
+            yield row, pre
 
     def _u_row(self, k, i):
         """phi(u*x^k*e_i) = a*(x^k)'*e_i + x^k*B_i and its preimage."""
@@ -487,15 +494,37 @@ class _DtData(NamedTuple):
     factors: tuple
 
 
+KEPT_SYSTEMS = 16
+
+
+class _StepSystems(OrderedDict):
+    """The Hermite step systems of one curve with an inverse, keyed by
+    (basis elements, den, v, d); past KEPT_SYSTEMS the one used least
+    recently is dropped."""
+
+    def get(self, key):
+        system = super().get(key)
+        if system is not None:
+            self.move_to_end(key)
+        return system
+
+    def __setitem__(self, key, system):
+        super().__setitem__(key, system)
+        if len(self) > KEPT_SYSTEMS:
+            self.popitem(last=False)
+
+
 class Decomposer:
     """The data of decompositions over one curve, none of which depends on
     the integrand: the initial suitable basis, the infinity basis V, the
     data of each final basis W and D_t on each pair (W, V), both keyed by
-    W's elements, and the image complement per (u, a).  Each is built on
-    first use and kept only once complete (a complement once ensure_stable
-    has built it), so a call interrupted midway leaves nothing half built and
-    one Decomposer can serve every integrand on its curve: telescope keeps
-    one per curve, additive_decompose makes one per call."""
+    W's elements, the image complement per (u, a) and the Hermite step
+    systems (_StepSystems).  Each is built on first use and kept only once
+    complete (a complement once ensure_stable has built it, a step system
+    once its solve gave its inverse), so a call interrupted midway leaves
+    nothing half built and one Decomposer can serve every integrand on its
+    curve: telescope keeps one per curve, additive_decompose makes one per
+    call."""
 
     def __init__(self, curve):
         self.curve = curve
@@ -504,6 +533,7 @@ class Decomposer:
         self._bases = {}
         self._complements = {}
         self._dts = {}
+        self._systems = _StepSystems()
 
     @property
     def initial_basis(self):
@@ -626,7 +656,7 @@ class Decomposer:
         that end on one basis share u, a and the image complement."""
         if basis is None and not isinstance(f, Presented):
             basis = self.initial_basis
-        her = lazy_hermite_reduce(f, basis)
+        her = lazy_hermite_reduce(f, basis, self._systems)
         w_basis = her.basis
         d, r, s = euclid_split(her.remainder)
         data = self._basis_data(w_basis)

@@ -660,7 +660,8 @@ def common_denominator(rows):
 
 
 def ext_gcd(p, q):
-    """Return (g, s, t) with g = s*p + t*q and g the monic gcd.
+    """Return (g, s) with g the monic gcd and g = s*p mod q, by the
+    half-extended Euclidean algorithm (the cofactor of q is never formed).
 
     One zero argument is fine; two zero arguments are not.
     """
@@ -669,21 +670,19 @@ def ext_gcd(p, q):
         raise DomainError("ext_gcd(0, 0) is undefined")
     r0, r1 = p, q
     s0, s1 = ring.one, ring.zero
-    t0, t1 = ring.zero, ring.one
     while r1:
         quo, rem = divmod(r0, r1)
         r0, r1 = r1, rem
         s0, s1 = s1, s0 - quo * s1
-        t0, t1 = t1, t0 - quo * t1
     c = r0.lc
     if c != ring.coeff.one:
-        r0, s0, t0 = r0 / c, s0 / c, t0 / c
-    return r0, s0, t0
+        r0, s0 = r0 / c, s0 / c
+    return r0, s0
 
 
 def invert_mod(p, v):
     """Inverse of p modulo v; requires gcd(p, v) = 1."""
-    g, s, _ = ext_gcd(p, v)
+    g, s = ext_gcd(p, v)
     if g.degree != 0:
         raise DomainError(f"{p} is not invertible modulo {v}: common factor {g}")
     return s % v
@@ -701,7 +700,7 @@ def poly_crt(pairs):
         raise DomainError("poly_crt of an empty collection")
     r = r % m
     for r2, m2 in it:
-        g, s, _ = ext_gcd(m, m2)
+        g, s = ext_gcd(m, m2)
         if g.degree != 0:
             raise DomainError(f"poly_crt moduli share the factor {g}")
         # r + m*s*(r2 - r) is r mod m and r2 mod m2

@@ -58,3 +58,24 @@ def test_worked_examples_script_runs():
     )
     assert done.returncode == 0, done.stderr
     assert "order: 2" in done.stdout
+
+
+def test_a_traced_record_counts_the_same_steps_on_kept_step_systems():
+    # the second pass finds the curve's step systems kept and solves fewer
+    # systems, but every step still goes through the traced hermite_step
+    tracer = _load_tracer()
+    record = _desk_record("legendre-period")
+    passes = []
+    for _ in range(2):
+        with tracer.installed(tracer.Tracer()) as tr:
+            assert tracer.cli.run_record(record)["status"] == "ok"
+        tracer.check_pristine()
+        passes.append(tr)
+    steps = [
+        {kind: tr.counts[f"hermite.steps.{kind}"]
+         for kind in ("unique", "underdetermined", "inconsistent")}
+        for tr in passes
+    ]
+    assert steps[0] == steps[1] and steps[0]["unique"] > 0
+    solves = [tr.stats["linalg.solve_mod"][0] for tr in passes]
+    assert solves[1] < solves[0]

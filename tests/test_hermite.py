@@ -1,5 +1,9 @@
 """Pole-order reduction: presentation, step classification, module growth."""
+import dataclasses
+import functools
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,9 +19,12 @@ from algint.hermite import (
     hermite_step,
     lazy_hermite_reduce,
     present,
+    step_system,
 )
+from algint.cli import run_record
+from algint.linalg import solve_mod
 from algint.parsing import build_curve, build_element
-from algint.rings import QQ, POLY_X_QQ, gcd, is_squarefree
+from algint.rings import QQ, QT, POLY_X_QQ, gcd, is_squarefree
 
 from conftest import check_loop_state, curve_elements, elem, module_equal, small_fractions
 
@@ -323,7 +330,7 @@ def test_step_without_progress_is_an_error(parabola, monkeypatch):
         presented.append(pres.den)
         return real_present(pres)
 
-    def stalled_step(pres):
+    def stalled_step(pres, systems=None):
         return StepReduced(g_part=parabola.zero(), rest=pres, outcome=None)
 
     monkeypatch.setattr(hermite, "_present", counting_present)
@@ -331,3 +338,109 @@ def test_step_without_progress_is_an_error(parabola, monkeypatch):
     with pytest.raises(AlgintError, match="pole order"):
         lazy_hermite_reduce(elem(parabola, "y/x^3"))
     assert len(presented) <= 3
+
+
+# ---------------------------------------------------------------------------
+# step systems kept with their inverse mod v
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _records(path):
+    return [
+        json.loads(line)
+        for line in path.read_text().splitlines()
+        if line.strip() and not line.startswith("#")
+    ]
+
+
+@functools.cache
+def _recorded_steps():
+    """The presented form of every Hermite step of the desk and seeded
+    records, in the order the records reach them."""
+    forms = []
+    real_step = hermite.hermite_step
+
+    def recording(pres, systems=None):
+        forms.append(pres)
+        return real_step(pres, systems)
+
+    records = _records(ROOT / "data" / "desk_corpus.jsonl") + _records(
+        ROOT / "tests" / "data" / "seeded_curves.jsonl"
+    )
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(hermite, "hermite_step", recording)
+        for record in records:
+            assert run_record(record)["status"] == "ok", record["name"]
+    return tuple(forms)
+
+
+def _solve(pres, system):
+    return solve_mod(system.matrix, pres.numer, pres.factors[-1][0], pres.basis.curve.xring)
+
+
+def test_a_kept_inverse_gives_the_solution_of_every_unique_step(monkeypatch):
+    kept = []
+    for pres in _recorded_steps():
+        system = step_system(pres)
+        outcome = _solve(pres, system)
+        if outcome.inverse is None:
+            assert outcome.status != "unique" or len(outcome.leaves) > 1
+            systems = {}
+            hermite_step(pres, systems)
+            assert not systems
+            continue
+        systems = {}
+        first = hermite_step(pres, systems)
+        assert list(systems.values()) == [system._replace(inverse=outcome.inverse)]
+        with monkeypatch.context() as mp:
+            mp.setattr(hermite, "solve_mod", None)  # a kept system solves nothing
+            second = hermite_step(pres, systems)
+        assert second == first
+        assert second.outcome == outcome
+        kept.append(system.matrix)
+    # radical curves have a diagonal M, so a transposed inverse would pass
+    # on them alone; the seeded curves are general ones
+    assert len(kept) > 40
+    assert any(p for matrix in kept for i, row in enumerate(matrix) for p in row[:i])
+
+
+def test_a_step_whose_solve_split_v_keeps_no_system(monkeypatch):
+    # a unique solve over two leaves has no inverse mod v; two copies of
+    # one leaf stand for such a solve
+    pres = next(p for p in _recorded_steps() if _solve(p, step_system(p)).inverse is not None)
+    plain = hermite_step(pres)
+    real_solve = hermite.solve_mod
+
+    def split(*args):
+        outcome = real_solve(*args)
+        return dataclasses.replace(outcome, leaves=outcome.leaves * 2)
+
+    monkeypatch.setattr(hermite, "solve_mod", split)
+    systems = {}
+    for _ in range(2):
+        step = hermite_step(pres, systems)
+        assert not systems
+        assert (step.g_part, step.rest) == (plain.g_part, plain.rest)
+
+
+def _legendre_step():
+    curve = build_curve("y^2 - x*(x - 1)*(x - t)", QT)
+    pres = present(build_element("(x^2 + t)/((x - 2)^3*y^3)", curve),
+                   initial_suitable_basis(curve))
+    system = step_system(pres)
+    return pres, system._replace(inverse=_solve(pres, system).inverse)
+
+
+@settings(max_examples=30)
+@given(st.lists(st.lists(small_fractions, min_size=1, max_size=8), min_size=4, max_size=4))
+def test_a_kept_legendre_inverse_solves_every_numerator(coeff_lists):
+    pres, system = _legendre_step()
+    assert system.inverse is not None and pres.factors[-1][1] >= 2
+    ring, t = pres.basis.curve.xring, QT.gen
+    numer = tuple(
+        ring.poly([QT.of(c) for c in low]) + ring.poly([c * t for c in high])
+        for low, high in zip(coeff_lists[::2], coeff_lists[1::2])
+    )
+    pres = pres._replace(numer=numer)
+    assert hermite._kept_outcome(system, numer, pres.factors[-1][0]) == _solve(pres, system)

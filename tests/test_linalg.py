@@ -216,6 +216,19 @@ def test_solve_mod_splits_on_zero_divisors():
     assert all(leaf.kernel for leaf in out.leaves)
 
 
+def test_solve_mod_hands_back_an_inverse_only_from_one_leaf():
+    # det = -1 is a unit, but the first pivot x - 1 is a zero divisor mod
+    # (x - 1)(x - 2): both leaves are unique, and no inverse mod v is read off
+    v = P(-1, 1) * P(-2, 1)
+    a = ((P(-1, 1), R.one), (R.one, R.zero))
+    out = solve_mod(a, (R.one, P(0, 1)), v, R)
+    assert out.status == "unique" and len(out.leaves) == 2
+    assert out.inverse is None
+    assert all(leaf.inverse is not None for leaf in out.leaves)
+    one = solve_mod(a, (R.one, P(0, 1)), P(-3, 1), R)
+    assert one.inverse == one.leaves[0].inverse == ((R.zero, R.one), (R.one, P(-2)))
+
+
 @given(
     st.lists(st.lists(polys_over_qq(max_degree=1), min_size=2, max_size=2),
              min_size=2, max_size=2),
@@ -228,8 +241,17 @@ def test_solve_mod_solution_and_certificates_check_out(rows, rhs):
     out = solve_mod(a, rhs, v, R)
     if out.solution is not None:
         assert not any(_residual(out.solution, a, rhs, v))
+    assert (out.inverse is not None) == (out.status == "unique" and len(out.leaves) == 1)
     for leaf in out.leaves:
         assert bool(leaf.kernel) == (leaf.status != "unique")
+        assert (leaf.inverse is not None) == (leaf.status == "unique")
+        if leaf.inverse is not None:
+            # a*inverse = I and rhs*inverse = the solution, mod the leaf modulus
+            m = leaf.modulus
+            assert [[c % m for c in row] for row in mat_mul(a, leaf.inverse)] == [
+                list(row) for row in identity(R, 2)
+            ]
+            assert [c % m for c in vec_mat(rhs, leaf.inverse)] == list(leaf.solution)
         for k in leaf.kernel:
             assert not any((c % leaf.modulus) for c in vec_mat(k, a))
         if leaf.status == "inconsistent":

@@ -5,9 +5,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from algint import hermite, polyred
 from algint.algfield import initial_suitable_basis
 from algint.cli import run_record
 from algint.errors import AlgintError, DomainError, MaxOrderExceeded, PreconditionError
+from algint.linalg import mat_mul
 from algint.parsing import build_curve, build_element
 from algint.polyred import ComplementNV, Decomposer
 from algint.rings import QQ, QT, T_POLY, common_denominator
@@ -325,3 +327,69 @@ def test_a_call_interrupted_inside_a_complement_feed_leaves_nothing_half_built(
         telescope(f)
     assert not armed[0]
     assert _answer(*record) == fresh
+
+
+# ---------------------------------------------------------------------------
+# kept Hermite step systems: reuse never changes an answer
+
+KEPT_STEPS = [("y^2 - x*(x - 1)*(x - t)", f) for f in ("1/y", "2/y", "x/y", "1/y^3")]
+MOVING_NODE = ("y^2 - x*(x-1)*(x+1)*(x-t)^2", "1/y")  # degenerate steps
+
+
+def _logged_steps(monkeypatch):
+    """Every Hermite step a kept Decomposer takes, as (pres, step, number
+    of kept systems after it), and the number of solves."""
+    log, solves = [], []
+    real_step, real_solve = hermite.hermite_step, hermite.solve_mod
+
+    def logged(pres, systems=None):
+        step = real_step(pres, systems)
+        log.append((pres, step, None if systems is None else len(systems)))
+        return step
+
+    def counted(*args):
+        solves.append(args)
+        return real_solve(*args)
+
+    monkeypatch.setattr(hermite, "hermite_step", logged)
+    monkeypatch.setattr(hermite, "solve_mod", counted)
+    return log, solves
+
+
+def _step_key(pres):
+    return (pres.basis.elements, pres.den) + pres.factors[-1]
+
+
+def test_kept_step_systems_never_change_an_answer(monkeypatch):
+    records = KEPT_STEPS + KEPT_STEPS[::-1] + [MOVING_NODE, MOVING_NODE]
+    fresh = [_fresh_answer(record) for record in records]
+    log, solves = _logged_steps(monkeypatch)
+    assert [_answer(*record) for record in records] == fresh
+    assert len(solves) < len(log) / 2
+    degenerate = {
+        _step_key(pres) for pres, step, _ in log if isinstance(step, hermite.StepDegenerate)
+    }
+    assert degenerate
+    for curve in {KEPT_STEPS[0][0], MOVING_NODE[0]}:
+        systems = _DECOMPOSERS[_kept_key(curve)]._systems
+        assert systems and not degenerate & systems.keys()
+        for (_, _, v, _), system in systems.items():
+            ring = v.ring
+            product = mat_mul(system.matrix, system.inverse)
+            assert [[p % v for p in row] for row in product] == [
+                [ring.one if i == j else ring.zero for j in range(len(row))]
+                for i, row in enumerate(product)
+            ]
+
+
+@pytest.mark.parametrize("bound", [0, 2])
+def test_the_step_system_table_never_exceeds_its_bound(monkeypatch, bound):
+    # with bound 0 no system is ever reused
+    records = KEPT_STEPS + KEPT_STEPS[::-1]
+    fresh = [_fresh_answer(record) for record in records]
+    monkeypatch.setattr(polyred, "KEPT_SYSTEMS", bound)
+    log, solves = _logged_steps(monkeypatch)
+    assert [_answer(*record) for record in records] == fresh
+    assert max(size for _, _, size in log) == bound
+    assert (len(solves) == len(log)) == (bound == 0)
+    assert len({_step_key(pres) for pres, _, _ in log}) > 2
