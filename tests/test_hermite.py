@@ -424,6 +424,7 @@ def test_a_step_whose_solve_split_v_keeps_no_system(monkeypatch):
         assert (step.g_part, step.rest) == (plain.g_part, plain.rest)
 
 
+@functools.cache
 def _legendre_step():
     curve = build_curve("y^2 - x*(x - 1)*(x - t)", QT)
     pres = present(build_element("(x^2 + t)/((x - 2)^3*y^3)", curve),

@@ -337,8 +337,8 @@ MOVING_NODE = ("y^2 - x*(x-1)*(x+1)*(x-t)^2", "1/y")  # degenerate steps
 
 
 def _logged_steps(monkeypatch):
-    """Every Hermite step a kept Decomposer takes, as (pres, step, number
-    of kept systems after it), and the number of solves."""
+    """Every Hermite step, as (pres, step, number of systems kept after
+    it), and the arguments of every solve_mod of a step."""
     log, solves = [], []
     real_step, real_solve = hermite.hermite_step, hermite.solve_mod
 
