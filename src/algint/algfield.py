@@ -332,7 +332,9 @@ class FieldBasis:
     """A K(x)-basis W of A with transition and derivation data.
 
     trans[i][j] is the coefficient of y^j in w_i; e*W' = M*W with e the
-    monic lcm of the denominators of the derivation coefficients.
+    monic lcm of the denominators of the derivation coefficients.  All of
+    it follows from the elements, so bases compare and hash by them, the
+    hash computed once.
     """
 
     def __init__(self, curve, elements):
@@ -384,6 +386,18 @@ class FieldBasis:
 
     def module_contains(self, other):
         return all(self.member(w) for w in other.elements)
+
+    def __eq__(self, other):
+        if isinstance(other, FieldBasis):
+            return self is other or self.elements == other.elements
+        return NotImplemented
+
+    @cached_property
+    def _hash(self):
+        return hash(self.elements)
+
+    def __hash__(self):
+        return self._hash
 
     def __repr__(self):
         return f"FieldBasis({', '.join(str(w) for w in self.elements)})"

@@ -10,15 +10,16 @@ A = (uv/e)*M - (d-1)*u*v'*I.  Its rest over den/v carries the
 factorisation with v at multiplicity d-1, and presenting it cancels only
 what the numerators share with a factor, so squarefree_decomposition runs
 only on an integrand given as a field element or presented over a new
-basis.  A depends on the basis and (den, v, d) alone (StepSystem), so a
-table of the systems solved before, which polyred.Decomposer keeps per
-curve, turns a repeated step into one product with the inverse of A mod
-v.  When A is singular modulo a factor w of v, Bronstein's lemma turns
-every row vector c with c*A = 0 mod w and c nonzero mod w into an integral
-element (1/w) * c*W outside the module (basis_update).  The module is
-enlarged by that one element for the first row kernel vector of the solve,
-made suitable again (algfield.make_suitable), and the integrand is
-presented anew over it.  The form left with simple poles becomes a
+basis.  A depends on the basis and (den, v, d) alone, so step_system is a
+pure function of them that also takes the inverse of A mod v, when there
+is one, from a solve on a zero right-hand side.  polyred.Decomposer
+memoises it per curve, which turns a repeated step into one product with
+that inverse.  When A is singular modulo a factor w of v, Bronstein's
+lemma turns every row vector c with c*A = 0 mod w and c nonzero mod w into
+an integral element (1/w) * c*W outside the module (basis_update).  The
+module is enlarged by that one element for the first row kernel vector of
+the solve, made suitable again (algfield.make_suitable), and the integrand
+is presented anew over it.  The form left with simple poles becomes a
 Remainder once, at exit.
 
 The reduction never computes an integral basis.  Degenerate steps and the
@@ -175,25 +176,24 @@ def _remainder(pres):
 
 
 class StepSystem(NamedTuple):
-    """The system of a step on the pole (v, d) = factors[-1] of a form with
-    denominator den over a basis: vpow = v^(d-1), uv = den/vpow and
-    matrix = uv/e * M - (d-1)*u*v'*I.  None of it depends on the numerator.
-    inverse is matrix^-1 mod v once a solve found the system unique without
-    splitting v, else None."""
+    """The system of a step on the pole (v, d) of a form with denominator
+    den over a basis: vpow = v^(d-1), uv = den/vpow,
+    matrix = uv/e * M - (d-1)*u*v'*I and inverse = matrix^-1 mod v, None
+    when matrix is singular modulo a factor of v or its solve splits v.
+    None of it depends on the numerator."""
 
     vpow: Poly
     uv: Poly
     matrix: tuple
-    inverse: Optional[tuple] = None
+    inverse: Optional[tuple]
 
 
-def step_system(pres):
-    """The StepSystem of pres, without its inverse."""
-    basis = pres.basis
+def step_system(basis, den, v, d):
+    """The StepSystem of a step on the pole (v, d) of den over basis, its
+    inverse from solve_mod on a zero right-hand side."""
     ring = basis.curve.xring
-    v, d = pres.factors[-1]
     vpow = v ** (d - 1)
-    uv = pres.den.exact_div(vpow)
+    uv = den.exact_div(vpow)
     uv_over_e = uv.exact_div(basis.e)
     shift = uv.exact_div(v) * v.derivative() * ring.from_int(d - 1)
     matrix = tuple(
@@ -203,48 +203,42 @@ def step_system(pres):
         )
         for i, row in enumerate(basis.mmat)
     )
-    return StepSystem(vpow, uv, matrix)
+    inverse = solve_mod(matrix, (ring.zero,) * len(matrix), v, ring).inverse
+    return StepSystem(vpow, uv, matrix, inverse)
 
 
-def hermite_step(pres, systems=None):
+def hermite_step(pres, system_of=step_system):
     """One reduction step on the repeated pole (v, d) = pres.factors[-1],
-    u = den/v^d.  Solves b*A = numer mod v for A the matrix of its
-    StepSystem, uv/e * M - (d-1)*u*v'*I.
+    u = den/v^d.  Solves b*A = numer mod v for A the matrix of the
+    StepSystem that system_of(basis, den, v, d) gives, uv/e * M -
+    (d-1)*u*v'*I: b = (numer mod v)*A^-1 mod v when A has an inverse mod v,
+    else by solve_mod.  b is the one solution with entries of degree below
+    deg v either way.
 
     A unique solution yields g = (1/v^(d-1)) * b*W and the reduced rest of
-    the integrand, factored as den with v at multiplicity d-1,
+    the integrand, factored as den with v at multiplicity d-1: for
+    numer = q*v + r,
 
-        f - g' = (1/(u*v^(d-1))) * ((numer - u*v*b' - b*A)/v)*W.
+        f - g' = (1/(u*v^(d-1))) * (q + (r - u*v*b' - b*A)/v)*W,
 
-    A degenerate system is returned with its solve outcome, whose leaves
-    carry the row kernels basis_update takes its element from.
-
-    systems, when given, maps (basis elements, den, v, d) to the systems
-    whose inverse a solve found: a step on a kept system takes
-    b = (numer mod v)*inverse mod v and solves nothing, and a solve that
-    finds an inverse keeps its system there.  b is the one solution with
-    entries of degree below deg v either way, and the exact division by v
-    above checks it.
+    where the exact division by v checks b.  A degenerate system is
+    returned with its solve outcome, whose leaves carry the row kernels
+    basis_update takes its element from.
     """
     basis = pres.basis
     v, d = pres.factors[-1]
-    key = system = None
-    if systems is not None:
-        key = (basis.elements, pres.den, v, d)
-        system = systems.get(key)
-    if system is None:
-        system = step_system(pres)
-        outcome = solve_mod(system.matrix, pres.numer, v, basis.curve.xring)
+    system = system_of(basis, pres.den, v, d)
+    q, r = zip(*(divmod(a, v) for a in pres.numer))
+    if system.inverse is None:
+        outcome = solve_mod(system.matrix, r, v, basis.curve.xring)
         if outcome.status != "unique":
             return StepDegenerate(presentation=pres, outcome=outcome)
-        if key is not None and outcome.inverse is not None:
-            systems[key] = system._replace(inverse=outcome.inverse)
     else:
-        outcome = _kept_outcome(system, pres.numer, v)
+        outcome = _kept_outcome(system, r, v)
     b = outcome.solution
     rest_numer = tuple(
-        (a - system.uv * bi.derivative() - bm).exact_div(v)
-        for a, bi, bm in zip(pres.numer, b, vec_mat(b, system.matrix))
+        qi + (ri - system.uv * bi.derivative() - bm).exact_div(v)
+        for qi, ri, bi, bm in zip(q, r, b, vec_mat(b, system.matrix))
     )
     rest_factors = _merge(pres.factors[:-1] + ((v, d - 1),))
     return StepReduced(
@@ -254,10 +248,11 @@ def hermite_step(pres, systems=None):
     )
 
 
-def _kept_outcome(system, numer, v):
-    """The outcome solve_mod gives on a system with an inverse: one unique
-    leaf, whose solution is the numerator mod v times the inverse."""
-    b = tuple(c % v for c in vec_mat(tuple(a % v for a in numer), system.inverse))
+def _kept_outcome(system, r, v):
+    """The outcome solve_mod gives on a system with an inverse for the
+    numerator r mod v: one unique leaf, whose solution is r times the
+    inverse mod v."""
+    b = tuple(c % v for c in vec_mat(r, system.inverse))
     leaf = SolveLeaf(v, "unique", b, (), None, system.inverse)
     return SolveOutcome("unique", b, (leaf,))
 
@@ -294,7 +289,7 @@ def basis_update(step):
     return theta
 
 
-def lazy_hermite_reduce(f, basis: Optional[FieldBasis] = None, systems=None):
+def lazy_hermite_reduce(f, basis: Optional[FieldBasis] = None, system_of=step_system):
     """Reduce f to g' + h with h having only simple poles.
 
     f is a field element, reduced from basis (an initial suitable basis
@@ -307,8 +302,9 @@ def lazy_hermite_reduce(f, basis: Optional[FieldBasis] = None, systems=None):
     update presents the current integrand anew, over the enlarged basis.
     Every basis presented over is suitable (make_suitable), so every form
     has gcd(u, v) = 1.  The form left with simple poles becomes the
-    Remainder once, at exit.  systems, a table of step systems, goes to
-    every hermite_step.
+    Remainder once, at exit.  system_of, which gives the StepSystem of a
+    step (step_system or a memoised copy of it), goes to every
+    hermite_step.
 
     Termination: a reduction step leaves a rest whose denominator divides
     u*v^(d-1), and every factor of u has multiplicity below d, so on an
@@ -329,7 +325,7 @@ def lazy_hermite_reduce(f, basis: Optional[FieldBasis] = None, systems=None):
         d = pres.factors[-1][1]
         if last_d is not None and d >= last_d:
             raise AlgintError(f"a reduction step left pole order {d}, not below {last_d}")
-        step = hermite_step(pres, systems)
+        step = hermite_step(pres, system_of)
         if isinstance(step, StepDegenerate):
             theta = basis_update(step)
             adjoined.append(theta)

@@ -20,8 +20,8 @@ denominators any antiderivative of the remainder can have.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 from itertools import count
 from math import isqrt, lcm
 from typing import NamedTuple
@@ -35,7 +35,7 @@ from .algfield import (
     scaled_powers,
 )
 from .errors import AlgintError, PreconditionError, SuitabilityFailure
-from .hermite import Presented, lazy_hermite_reduce, product_factors
+from .hermite import Presented, lazy_hermite_reduce, product_factors, step_system
 from .linalg import char_poly, det, hnf_rows, inverse, mat_mul, nullspace, transpose, vec_mat
 from .rings import (
     QT,
@@ -247,19 +247,19 @@ class ComplementNV:
     kept, since p1 is unique only up to them.
     """
 
-    def __init__(self, phi, n, field):
+    def __init__(self, phi):
         u, a = phi.u, phi.a
+        self.ring = u.ring
+        self.field = field = u.ring.coeff
         if u.lc != field.one or a.lc != field.one or _max_deg(phi.bmat) >= a.degree:
             raise PreconditionError("complement needs u and a monic, deg B < deg a")
         self.phi = phi
-        self.n = n
-        self.field = field
-        self.ring = u.ring
+        self.n = len(phi.bmat)
         self.leads = {}
         self._kernel = []
         self._delta = a.degree - u.degree - 1
         self._btop = [[p.coeff(a.degree - 1) for p in row] for row in phi.bmat]
-        self._frozen = None
+        self.ensure_stable()
 
     # -- the image rows
 
@@ -331,9 +331,8 @@ class ComplementNV:
 
     def ensure_stable(self):
         """Insert phi(L) and the rows phi(u*x^k*e_i) for k < s* - deg u,
-        and freeze the complement at s* + delta - 1."""
-        if self._frozen is not None:
-            return
+        and freeze the complement at s* + delta - 1; the constructor calls
+        it once."""
         du = self.phi.u.degree
         eigen = integer_roots(char_poly(self._btop, self.field), self.field)
         s_star = max([du] + [du - r + 1 for r in eigen if du - r >= 0])
@@ -378,7 +377,6 @@ class ComplementNV:
     def standard_monomials(self):
         """Monomials (degree, component) spanning the complement, sorted;
         the tests compare complements by them."""
-        self.ensure_stable()
         monos = ((k, j) for k in range(self._frozen + 1) for j in range(self.n))
         return tuple(m for m in monos if m not in self.leads)
 
@@ -389,7 +387,6 @@ class ComplementNV:
         K[x]^n, q2 is supported on standard monomials, and p1 is 0 at the
         lead monomial of every kernel row of phi (which makes it unique).
         """
-        self.ensure_stable()
         p1, q = self._reduce_above(row)
         q2 = [self.ring.zero] * self.n
         while True:
@@ -497,55 +494,31 @@ class _DtData(NamedTuple):
 KEPT_SYSTEMS = 16
 
 
-class _StepSystems(OrderedDict):
-    """The Hermite step systems of one curve with an inverse, keyed by
-    (basis elements, den, v, d); past KEPT_SYSTEMS the one used least
-    recently is dropped."""
-
-    def get(self, key):
-        system = super().get(key)
-        if system is not None:
-            self.move_to_end(key)
-        return system
-
-    def __setitem__(self, key, system):
-        super().__setitem__(key, system)
-        if len(self) > KEPT_SYSTEMS:
-            self.popitem(last=False)
-
-
 class Decomposer:
     """The data of decompositions over one curve, none of which depends on
     the integrand: the initial suitable basis, the infinity basis V, the
     data of each final basis W and D_t on each pair (W, V), both keyed by
-    W's elements, the image complement per (u, a) and the Hermite step
-    systems (_StepSystems).  Each is built on first use and kept only once
-    complete (a complement once ensure_stable has built it, a step system
-    once its solve gave its inverse), so a call interrupted midway leaves
-    nothing half built and one Decomposer can serve every integrand on its
-    curve: telescope keeps one per curve, additive_decompose makes one per
-    call."""
+    W, the image complement per (u, a), and the Hermite step systems, from
+    step_system memoised for the last KEPT_SYSTEMS (basis, den, v, d).
+    Each is built on first use and kept once its constructor or function
+    returns, so a call interrupted midway leaves nothing half built and one
+    Decomposer can serve every integrand on its curve: telescope keeps one
+    per curve, additive_decompose makes one per call."""
 
     def __init__(self, curve):
         self.curve = curve
-        self._initial = None
-        self._inf = None
         self._bases = {}
         self._complements = {}
         self._dts = {}
-        self._systems = _StepSystems()
+        self.step_system = lru_cache(maxsize=KEPT_SYSTEMS)(step_system)
 
-    @property
+    @cached_property
     def initial_basis(self):
-        if self._initial is None:
-            self._initial = initial_suitable_basis(self.curve)
-        return self._initial
+        return initial_suitable_basis(self.curve)
 
-    @property
+    @cached_property
     def inf_basis(self):
-        if self._inf is None:
-            self._inf = suitable_at_infinity(self.curve)
-        return self._inf
+        return suitable_at_infinity(self.curve)
 
     def complement(self, u, a):
         key = (u, a)
@@ -554,22 +527,20 @@ class Decomposer:
             inf = self.inf_basis
             scale = a.exact_div(inf.e)
             bmat = tuple(tuple(scale * p for p in row) for row in inf.mmat)
-            phi = PhiMap(u=u, a=a, bmat=bmat)
-            hit = ComplementNV(phi, self.curve.n, self.curve.field)
-            hit.ensure_stable()
+            hit = ComplementNV(PhiMap(u=u, a=a, bmat=bmat))
             self._complements[key] = hit
         return hit
 
     def _basis_data(self, basis):
         """The _BasisData of a final basis, computed once per basis."""
-        hit = self._bases.get(basis.elements)
+        hit = self._bases.get(basis)
         if hit is None:
             inf = self.inf_basis
             b, cmat = common_denominator([inf.coords_of(w) for w in basis.elements])
             eb = basis.e * b
             a = lcm_many([inf.e, eb])
             hit = _BasisData(cmat, b, a.exact_div(eb), compute_u(basis, b), a)
-            self._bases[basis.elements] = hit
+            self._bases[basis] = hit
         return hit
 
     def _dt_data(self, basis):
@@ -579,7 +550,7 @@ class Decomposer:
         coordinates of j*y^(j-1)*D_t(y).  A basis with Y-coordinates trans
         has D_t-coordinates D_t(trans) + trans*P over Y, and the W-coordinates
         of anything are its Y-coordinates times W's trans_inv."""
-        hit = self._dts.get(basis.elements)
+        hit = self._dts.get(basis)
         if hit is None:
             cur = self.curve
             y = cur.gen()
@@ -600,7 +571,7 @@ class Decomposer:
             lcm_m = lcm_many([m, nw])
             factors = product_factors(s_factors, squarefree_decomposition(lcm_m))
             hit = _DtData(t_num, nw, nw_num, s, s_factors, m, k, lcm_m, factors)
-            self._dts[basis.elements] = hit
+            self._dts[basis] = hit
         return hit
 
     def dt_remainder(self, dec):
@@ -656,7 +627,7 @@ class Decomposer:
         that end on one basis share u, a and the image complement."""
         if basis is None and not isinstance(f, Presented):
             basis = self.initial_basis
-        her = lazy_hermite_reduce(f, basis, self._systems)
+        her = lazy_hermite_reduce(f, basis, self.step_system)
         w_basis = her.basis
         d, r, s = euclid_split(her.remainder)
         data = self._basis_data(w_basis)

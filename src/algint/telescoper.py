@@ -28,17 +28,18 @@ gamma.  The certificate is checked from scratch at the end
 Nothing but the integrand changes between two calls on one curve: the
 basis pair, its D_t matrices and the image complements are the curve's.
 So telescope keeps the Decomposer of the last KEPT_CURVES curves it
-telescoped in the process, keyed by the field, m and the leading
-coefficient as given (scaled_powers reads it), and rebinds f onto the kept
-curve, whose y' per derivation is then computed once as well.
+telescoped in the process, in a functools.lru_cache keyed by the curve
+(its field and m) and the leading coefficient as given (scaled_powers
+reads it), and rebinds f onto the kept curve, whose y' per derivation is
+then computed once as well.
 """
 
 from __future__ import annotations
 
 import math
-from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .algfield import AlgElem
 from .errors import (
@@ -176,18 +177,13 @@ def verify_telescoper(f, coeffs, certificate):
 
 
 KEPT_CURVES = 32
-_DECOMPOSERS = OrderedDict()  # (field, m, lead) -> Decomposer, oldest use first
 
 
-def _kept_decomposer(curve):
-    """The Decomposer kept for curve, made and kept if there is none; the
-    curve used least recently is dropped past KEPT_CURVES."""
-    key = (curve.field, curve.m, curve.lead)
-    decomposer = _DECOMPOSERS.pop(key, None) or Decomposer(curve)
-    _DECOMPOSERS[key] = decomposer
-    if len(_DECOMPOSERS) > KEPT_CURVES:
-        _DECOMPOSERS.popitem(last=False)
-    return decomposer
+@lru_cache(maxsize=KEPT_CURVES)
+def _kept_decomposer(curve, lead):
+    """The Decomposer of the curves equal to curve with leading coefficient
+    lead, kept for the last KEPT_CURVES of them."""
+    return Decomposer(curve)
 
 
 def telescope(f, max_order=20):
@@ -203,7 +199,7 @@ def telescope(f, max_order=20):
         raise DomainError(f"order cap must be >= 0, got {max_order}")
     if f.curve.field != QT:
         raise PreconditionError("telescoping requires the coefficient field QQ(t)")
-    decomposer = _kept_decomposer(f.curve)
+    decomposer = _kept_decomposer(f.curve, f.curve.lead)
     f = AlgElem(decomposer.curve, f.poly)
     dec0 = decomposer.decompose(f)
     ledger = RemainderLedger(decomposer, dec0)

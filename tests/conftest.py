@@ -28,9 +28,9 @@ settings.load_profile("suite")
 def no_kept_decomposers():
     """Each test starts and ends with telescope's table of kept Decomposers
     empty, so call counts and monkeypatches see no data of another test."""
-    telescoper._DECOMPOSERS.clear()
+    telescoper._kept_decomposer.cache_clear()
     yield
-    telescoper._DECOMPOSERS.clear()
+    telescoper._kept_decomposer.cache_clear()
 
 
 @pytest.fixture

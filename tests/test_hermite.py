@@ -1,15 +1,15 @@
 """Pole-order reduction: presentation, step classification, module growth."""
-import dataclasses
 import functools
 import json
 from fractions import Fraction
 from pathlib import Path
+from typing import NamedTuple
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from algint.algfield import FieldBasis, initial_suitable_basis
-from algint import hermite
+from algint import hermite, polyred
 from algint.errors import AlgintError, PreconditionError
 from algint.hermite import (
     Remainder,
@@ -22,7 +22,7 @@ from algint.hermite import (
     step_system,
 )
 from algint.cli import run_record
-from algint.linalg import solve_mod
+from algint.linalg import mat_mul, solve_mod
 from algint.parsing import build_curve, build_element
 from algint.rings import QQ, QT, POLY_X_QQ, gcd, is_squarefree
 
@@ -330,7 +330,7 @@ def test_step_without_progress_is_an_error(parabola, monkeypatch):
         presented.append(pres.den)
         return real_present(pres)
 
-    def stalled_step(pres, systems=None):
+    def stalled_step(pres, *args):
         return StepReduced(g_part=parabola.zero(), rest=pres, outcome=None)
 
     monkeypatch.setattr(hermite, "_present", counting_present)
@@ -341,7 +341,7 @@ def test_step_without_progress_is_an_error(parabola, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# step systems kept with their inverse mod v
+# step systems and their inverse mod v
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -354,74 +354,109 @@ def _records(path):
     ]
 
 
+class _Recorded(NamedTuple):
+    forms: tuple  # the presented form of every Hermite step
+    inverted: tuple  # (system, v) for every system built with an inverse
+
+
 @functools.cache
 def _recorded_steps():
-    """The presented form of every Hermite step of the desk and seeded
-    records, in the order the records reach them."""
-    forms = []
-    real_step = hermite.hermite_step
+    """The Hermite steps of the desk and seeded records, in the order the
+    records reach them, and the systems with an inverse that their
+    Decomposers built."""
+    forms, inverted = [], []
+    real_step, real_system = hermite.hermite_step, polyred.step_system
 
-    def recording(pres, systems=None):
+    def recording(pres, *args):
         forms.append(pres)
-        return real_step(pres, systems)
+        return real_step(pres, *args)
+
+    def built(basis, den, v, d):
+        system = real_system(basis, den, v, d)
+        if system.inverse is not None:
+            inverted.append((system, v))
+        return system
 
     records = _records(ROOT / "data" / "desk_corpus.jsonl") + _records(
         ROOT / "tests" / "data" / "seeded_curves.jsonl"
     )
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(hermite, "hermite_step", recording)
+        mp.setattr(polyred, "step_system", built)
         for record in records:
             assert run_record(record)["status"] == "ok", record["name"]
-    return tuple(forms)
+    return _Recorded(tuple(forms), tuple(inverted))
+
+
+def _system(pres):
+    v, d = pres.factors[-1]
+    return step_system(pres.basis, pres.den, v, d)
 
 
 def _solve(pres, system):
     return solve_mod(system.matrix, pres.numer, pres.factors[-1][0], pres.basis.curve.xring)
 
 
-def test_a_kept_inverse_gives_the_solution_of_every_unique_step(monkeypatch):
-    kept = []
-    for pres in _recorded_steps():
-        system = step_system(pres)
-        outcome = _solve(pres, system)
-        if outcome.inverse is None:
-            assert outcome.status != "unique" or len(outcome.leaves) > 1
-            systems = {}
-            hermite_step(pres, systems)
-            assert not systems
-            continue
-        systems = {}
-        first = hermite_step(pres, systems)
-        assert list(systems.values()) == [system._replace(inverse=outcome.inverse)]
-        with monkeypatch.context() as mp:
-            mp.setattr(hermite, "solve_mod", None)  # a kept system solves nothing
-            second = hermite_step(pres, systems)
-        assert second == first
-        assert second.outcome == outcome
-        kept.append(system.matrix)
+def test_every_inverse_built_on_the_records_inverts_its_matrix():
+    inverted = _recorded_steps().inverted
+    for system, v in inverted:
+        product = mat_mul(system.matrix, system.inverse)
+        ring = v.ring
+        assert [[p % v for p in row] for row in product] == [
+            [ring.one if i == j else ring.zero for j in range(len(row))]
+            for i, row in enumerate(product)
+        ]
     # radical curves have a diagonal M, so a transposed inverse would pass
     # on them alone; the seeded curves are general ones
-    assert len(kept) > 40
-    assert any(p for matrix in kept for i, row in enumerate(matrix) for p in row[:i])
+    assert len(inverted) >= 40
+    assert any(p for system, _ in inverted for i, row in enumerate(system.matrix)
+               for p in row[:i])
 
 
-def test_a_step_whose_solve_split_v_keeps_no_system(monkeypatch):
-    # a unique solve over two leaves has no inverse mod v; two copies of
-    # one leaf stand for such a solve
-    pres = next(p for p in _recorded_steps() if _solve(p, step_system(p)).inverse is not None)
-    plain = hermite_step(pres)
+def test_a_kept_inverse_gives_the_solution_of_every_unique_step(monkeypatch):
+    with_inverse = 0
+    for pres in _recorded_steps().forms:
+        system = _system(pres)
+        outcome = _solve(pres, system)
+        solved = hermite_step(pres, lambda *key: system._replace(inverse=None))
+        assert solved.outcome == outcome
+        if system.inverse is None:
+            assert outcome.status != "unique" or len(outcome.leaves) > 1
+            continue
+        assert outcome.inverse == system.inverse
+        with monkeypatch.context() as mp:
+            mp.setattr(hermite, "solve_mod", None)  # a step with an inverse solves nothing
+            kept = hermite_step(pres, lambda *key: system)
+        assert kept == solved
+        with_inverse += 1
+    assert with_inverse > 40
+
+
+def test_a_system_without_an_inverse_solves_its_numerator_on_every_step(monkeypatch):
+    # a unique solve that splits v has no inverse mod v; a system with its
+    # inverse dropped stands for one.  A singular system has none either.
+    forms = _recorded_steps().forms
+    split = next(p for p in forms if _system(p).inverse is not None)
+    singular = next(p for p in forms if _solve(p, _system(p)).status != "unique")
     real_solve = hermite.solve_mod
+    for pres in (split, singular):
+        plain = hermite_step(pres)
+        system = _system(pres)._replace(inverse=None)
+        solves = []
 
-    def split(*args):
-        outcome = real_solve(*args)
-        return dataclasses.replace(outcome, leaves=outcome.leaves * 2)
+        def counted(*args):
+            solves.append(args)
+            return real_solve(*args)
 
-    monkeypatch.setattr(hermite, "solve_mod", split)
-    systems = {}
-    for _ in range(2):
-        step = hermite_step(pres, systems)
-        assert not systems
-        assert (step.g_part, step.rest) == (plain.g_part, plain.rest)
+        with monkeypatch.context() as mp:
+            mp.setattr(hermite, "solve_mod", counted)
+            for k in (1, 2):
+                step = hermite_step(pres, lambda *key: system)
+                assert len(solves) == k and solves[-1][1] == tuple(a % pres.factors[-1][0]
+                                                                    for a in pres.numer)
+                assert type(step) is type(plain) and step.outcome == plain.outcome
+                if isinstance(plain, StepReduced):
+                    assert (step.g_part, step.rest) == (plain.g_part, plain.rest)
 
 
 @functools.cache
@@ -429,8 +464,7 @@ def _legendre_step():
     curve = build_curve("y^2 - x*(x - 1)*(x - t)", QT)
     pres = present(build_element("(x^2 + t)/((x - 2)^3*y^3)", curve),
                    initial_suitable_basis(curve))
-    system = step_system(pres)
-    return pres, system._replace(inverse=_solve(pres, system).inverse)
+    return pres, _system(pres)
 
 
 @settings(max_examples=30)
@@ -444,4 +478,6 @@ def test_a_kept_legendre_inverse_solves_every_numerator(coeff_lists):
         for low, high in zip(coeff_lists[::2], coeff_lists[1::2])
     )
     pres = pres._replace(numer=numer)
-    assert hermite._kept_outcome(system, numer, pres.factors[-1][0]) == _solve(pres, system)
+    v = pres.factors[-1][0]
+    rem = tuple(a % v for a in numer)
+    assert hermite._kept_outcome(system, rem, v) == _solve(pres, system)

@@ -238,6 +238,49 @@ def test_print_parse_roundtrip_with_parameter(legendre, data):
     assert build_element(str(f), legendre) == f
 
 
+def _powered(pair):
+    base, exponent = pair
+    return f"({base})^{exponent}"
+
+
+_EXPONENTS = st.one_of(
+    st.integers(-3, 3).map(str), st.sampled_from(["2^2", "-1^2", "100", "101", "2^7"])
+)
+_ATOMS = st.one_of(
+    st.sampled_from(["x", "y", "t", "0", "1", "2", "(x - x)", "(t - t)", "x^100", "x^101"]),
+    st.integers(0, 10**6).map(str),
+)
+_EXPRESSIONS = st.recursive(
+    _ATOMS,
+    lambda inner: st.one_of(
+        st.tuples(inner, st.sampled_from(["+", "-", "*", "/"]), inner).map(" ".join),
+        inner.map(lambda e: f"-{e}"),
+        st.tuples(inner, _EXPONENTS).map(_powered),
+    ),
+    max_leaves=8,
+)
+
+
+@st.composite
+def _grammar_texts(draw):
+    """A text of the parsing grammar, now and then cut short."""
+    text = draw(st.one_of(_EXPRESSIONS, _EXPRESSIONS.map(lambda e: f"y^2 - ({e})")))
+    if draw(st.integers(0, 4)) == 0:
+        text = text[: draw(st.integers(0, len(text)))]
+    return text
+
+
+@settings(max_examples=60)
+@given(curve_text=_grammar_texts(), integrand=_grammar_texts())
+def test_parsing_gives_a_value_or_an_algint_error(curve_text, integrand):
+    # no input text may reach the user as a traceback
+    try:
+        curve = build_curve(curve_text, field_for([curve_text, integrand]))
+        assert isinstance(build_element(integrand, curve), AlgElem)
+    except AlgintError:
+        pass
+
+
 # ---------------------------------------------------------------------------
 # CLI surface
 

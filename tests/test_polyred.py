@@ -32,6 +32,7 @@ from algint.rings import QQ, QT, POLY_X_QQ, POLY_X_QT, T_POLY, gcd
 from conftest import (
     apply_tilde,
     complement_is_final,
+    count_calls,
     curve_elements,
     elem,
     reference_complement,
@@ -208,10 +209,9 @@ def test_phi_matches_derivative_of_quotient(parabola):
 
 
 def _complement(curve, second):
-    """A complement not yet built: for u = x^2 + 1 when second is None,
-    else for the u and a that decompose finds over the basis (1, second).
-    Decomposer.complement returns its complement built to the bound, so a
-    fresh one is made on the same phi."""
+    """A complement made afresh on the phi of the one Decomposer.complement
+    keeps: for u = x^2 + 1 when second is None, else for the u and a that
+    decompose finds over the basis (1, second)."""
     dec = Decomposer(curve)
     if second is None:
         u = P(1, 0, 1)
@@ -221,7 +221,7 @@ def _complement(curve, second):
         out = Decomposer(curve).decompose(elem(curve, "y"), basis=basis)
         assert out.basis is basis
         built = dec.complement(out.u, out.a)
-    return ComplementNV(built.phi, curve.n, curve.field)
+    return ComplementNV(built.phi)
 
 
 def test_complement_standard_monomials_frozen(parabola):
@@ -243,7 +243,6 @@ def test_complement_dimension_schedule_independent(parabola, cusp, trefoil):
 
 def _leads_are_images(comp):
     """Every echelon row of the built complement is phi of its preimage."""
-    comp.ensure_stable()
     usq = comp.phi.u * comp.phi.u
     return all(
         apply_tilde(comp.phi, hit["preim"]) == tuple(usq * p for p in hit["row"])
@@ -379,7 +378,7 @@ def _hand_made(btop_diag, u, a_degree, field=QQ):
         for i, c in enumerate(btop_diag)
     )
     a = ring.monomial(field.one, a_degree)
-    return ComplementNV(PhiMap(u=u, a=a, bmat=bmat), len(btop_diag), field)
+    return ComplementNV(PhiMap(u=u, a=a, bmat=bmat))
 
 
 @pytest.mark.parametrize(
@@ -394,7 +393,6 @@ def _hand_made(btop_diag, u, a_degree, field=QQ):
 )
 def test_complement_bound_on_hand_made_top_matrix(btop_diag, u, field, s_star):
     comp = _hand_made(btop_diag, u, 3, field)
-    comp.ensure_stable()
     delta = comp.phi.a.degree - u.degree - 1
     assert comp._frozen == s_star + delta - 1
     assert all(k <= comp._frozen for k, _ in comp.leads)
@@ -415,9 +413,9 @@ def test_complement_bound_on_hand_made_top_matrix(btop_diag, u, field, s_star):
 def test_complement_needs_monic_u_and_a_and_deg_b_below_deg_a():
     row = ((P(0, 0, 1), R.zero), (R.zero, R.zero))
     with pytest.raises(PreconditionError):
-        ComplementNV(PhiMap(u=R.one, a=P(0, 0, 1), bmat=row), 2, QQ)
+        ComplementNV(PhiMap(u=R.one, a=P(0, 0, 1), bmat=row))
     with pytest.raises(PreconditionError):
-        ComplementNV(PhiMap(u=P(1, 2), a=P(0, 0, 0, 1), bmat=row), 2, QQ)
+        ComplementNV(PhiMap(u=P(1, 2), a=P(0, 0, 0, 1), bmat=row))
 
 
 def test_kernel_row_is_u_times_coords_of_one_and_p1_avoids_its_lead(parabola):
@@ -425,7 +423,6 @@ def test_kernel_row_is_u_times_coords_of_one_and_p1_avoids_its_lead(parabola):
     inf = dec.inf_basis
     u = P(1, 0, 1)
     comp = dec.complement(u, inf.e * u)
-    comp.ensure_stable()
     assert len(comp._kernel) == 1
     (k, j), kappa = comp._kernel[0]
     assert not any(apply_tilde(comp.phi, kappa))
@@ -542,15 +539,16 @@ def _random_phis(draw):
 @given(phi=_random_phis(), data=st.data())
 def test_complement_on_random_phi_agrees_with_the_generator_feed(phi, data):
     n = len(phi.bmat)
-    comp = ComplementNV(phi, n, QQ)
     inserted = []
-    insert = comp._insert
+    insert = ComplementNV._insert
 
-    def record(row, pre):
+    def record(self, row, pre):
         inserted.append((row, pre))
-        insert(row, pre)
+        insert(self, row, pre)
 
-    comp._insert = record
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ComplementNV, "_insert", record)
+        comp = ComplementNV(phi)
     ref = reference_complement(phi, n, QQ)
     assert comp.standard_monomials() == ref.standard_monomials()
     usq = phi.u * phi.u
@@ -673,3 +671,30 @@ def test_integrate_over_a_repaired_initial_basis():
     g = elem(curve, "y^2/x")
     assert antiderivative(g.dx()) == g
     assert antiderivative(g.dx() + elem(curve, "1/(x - 5)")) is None
+
+
+# ---------------------------------------------------------------------------
+# a basis is its elements: equal bases share the per-basis data
+
+
+def test_a_basis_rebuilt_from_its_elements_reuses_the_per_basis_data(legendre, monkeypatch):
+    dec = Decomposer(legendre)
+    basis = dec.decompose(elem(legendre, "1/y^3")).basis
+    rebuilt = FieldBasis(legendre, basis.elements)
+    other = FieldBasis(legendre, (legendre.one(), elem(legendre, "(x - t)*y")))
+    assert rebuilt is not basis and rebuilt == basis and hash(rebuilt) == hash(basis)
+    assert other != basis and basis != basis.elements
+    assert len({basis, rebuilt, other}) == 2
+    built = {}
+    count_calls(monkeypatch, built, polyred, "compute_u")
+    count_calls(monkeypatch, built, polyred, "product_factors")
+    assert dec._basis_data(rebuilt) is dec._basis_data(basis)
+    assert dec._dt_data(rebuilt) is dec._dt_data(basis)
+    assert built == {"compute_u": 0, "product_factors": 2}  # the D_t data, built once
+    v = legendre.xring.gen
+    before = dec.step_system.cache_info()
+    assert dec.step_system(rebuilt, v ** 3 * basis.e, v, 3) is dec.step_system(
+        basis, v ** 3 * basis.e, v, 3
+    )
+    after = dec.step_system.cache_info()
+    assert (after.misses - before.misses, after.hits - before.hits) == (1, 1)

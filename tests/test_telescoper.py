@@ -9,13 +9,12 @@ from algint import hermite, polyred
 from algint.algfield import initial_suitable_basis
 from algint.cli import run_record
 from algint.errors import AlgintError, DomainError, MaxOrderExceeded, PreconditionError
-from algint.linalg import mat_mul
 from algint.parsing import build_curve, build_element
 from algint.polyred import ComplementNV, Decomposer
 from algint.rings import QQ, QT, T_POLY, common_denominator
 from algint.telescoper import (
-    _DECOMPOSERS,
     RemainderLedger,
+    _kept_decomposer,
     _normalize_dependency,
     apply_telescoper,
     find_dependency,
@@ -262,16 +261,16 @@ def _answer(curve, integrand, max_order=20):
 @functools.cache
 def _fresh_answer(record):
     """The answer of a call that finds no kept Decomposer, and leaves none."""
-    _DECOMPOSERS.clear()
+    _kept_decomposer.cache_clear()
     try:
         return _answer(*record)
     finally:
-        _DECOMPOSERS.clear()
+        _kept_decomposer.cache_clear()
 
 
 def _kept_key(text):
     curve = build_curve(text, QT)
-    return curve.field, curve.m, curve.lead
+    return curve, curve.lead
 
 
 @pytest.mark.parametrize(
@@ -289,7 +288,9 @@ def test_kept_decomposers_never_change_an_answer(first, second):
     got = [_answer(*record) for record in first + second]
     assert got == fresh
     assert all(answer["status"] == "ok" for answer in got)
-    assert len(_DECOMPOSERS) == len({_kept_key(curve) for curve, _ in first})
+    assert _kept_decomposer.cache_info().currsize == len(
+        {_kept_key(curve) for curve, _ in first}
+    )
 
 
 def test_a_call_past_its_order_cap_leaves_the_kept_data_whole():
@@ -337,14 +338,15 @@ MOVING_NODE = ("y^2 - x*(x-1)*(x+1)*(x-t)^2", "1/y")  # degenerate steps
 
 
 def _logged_steps(monkeypatch):
-    """Every Hermite step, as (pres, step, number of systems kept after
-    it), and the arguments of every solve_mod of a step."""
+    """Every Hermite step, as (pres, step, number of systems its Decomposer
+    keeps after it), and the arguments of every solve_mod of a step or of a
+    new system."""
     log, solves = [], []
     real_step, real_solve = hermite.hermite_step, hermite.solve_mod
 
-    def logged(pres, systems=None):
-        step = real_step(pres, systems)
-        log.append((pres, step, None if systems is None else len(systems)))
+    def logged(pres, system_of):
+        step = real_step(pres, system_of)
+        log.append((pres, step, system_of.cache_info().currsize))
         return step
 
     def counted(*args):
@@ -357,7 +359,7 @@ def _logged_steps(monkeypatch):
 
 
 def _step_key(pres):
-    return (pres.basis.elements, pres.den) + pres.factors[-1]
+    return (pres.basis, pres.den) + pres.factors[-1]
 
 
 def test_kept_step_systems_never_change_an_answer(monkeypatch):
@@ -366,20 +368,15 @@ def test_kept_step_systems_never_change_an_answer(monkeypatch):
     log, solves = _logged_steps(monkeypatch)
     assert [_answer(*record) for record in records] == fresh
     assert len(solves) < len(log) / 2
-    degenerate = {
-        _step_key(pres) for pres, step, _ in log if isinstance(step, hermite.StepDegenerate)
-    }
-    assert degenerate
-    for curve in {KEPT_STEPS[0][0], MOVING_NODE[0]}:
-        systems = _DECOMPOSERS[_kept_key(curve)]._systems
-        assert systems and not degenerate & systems.keys()
-        for (_, _, v, _), system in systems.items():
-            ring = v.ring
-            product = mat_mul(system.matrix, system.inverse)
-            assert [[p % v for p in row] for row in product] == [
-                [ring.one if i == j else ring.zero for j in range(len(row))]
-                for i, row in enumerate(product)
-            ]
+    assert any(isinstance(step, hermite.StepDegenerate) for _, step, _ in log)
+    infos = [_kept_decomposer(*_kept_key(curve)).step_system.cache_info()
+             for curve in {KEPT_STEPS[0][0], MOVING_NODE[0]}]
+    assert all(info.hits and info.currsize for info in infos)
+    # one solve on a zero right-hand side per new system, and one of the
+    # numerator per step on a system without an inverse (a singular one here)
+    no_inverse = [step for _, step, _ in log if step.outcome.inverse is None]
+    assert len(solves) == sum(info.misses for info in infos) + len(no_inverse)
+    assert all(isinstance(step, hermite.StepDegenerate) for step in no_inverse)
 
 
 @pytest.mark.parametrize("bound", [0, 2])
@@ -391,5 +388,8 @@ def test_the_step_system_table_never_exceeds_its_bound(monkeypatch, bound):
     log, solves = _logged_steps(monkeypatch)
     assert [_answer(*record) for record in records] == fresh
     assert max(size for _, _, size in log) == bound
+    info = _kept_decomposer(*_kept_key(KEPT_STEPS[0][0])).step_system.cache_info()
+    assert info.maxsize == bound and info.currsize == bound
+    assert (info.hits == 0) == (bound == 0)
     assert (len(solves) == len(log)) == (bound == 0)
     assert len({_step_key(pres) for pres, _, _ in log}) > 2
