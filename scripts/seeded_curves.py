@@ -92,7 +92,8 @@ def qualifies(site, text):
     if site == "infinity":
         start = FieldBasis(curve, polyred.start_at_infinity(curve))
         return not polyred._suitable_at_inf(start)
-    return bool(hermite.lazy_hermite_reduce(build_element("y/x^2", curve)).adjoined)
+    f = build_element("y/x^2", curve)
+    return bool(hermite.lazy_hermite_reduce(f, algfield.initial_suitable_basis(curve)).adjoined)
 
 
 def irreducible(text):

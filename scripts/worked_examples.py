@@ -12,7 +12,7 @@ import time
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
-from algint.algfield import Curve, FieldBasis, power_basis
+from algint.algfield import Curve, FieldBasis, initial_suitable_basis, power_basis
 from algint.hermite import hermite_step, lazy_hermite_reduce, present
 from algint.parsing import build_curve, build_element
 from algint.polyred import Decomposer, antiderivative
@@ -63,7 +63,7 @@ def hermite_walkthrough():
     banner("Full Hermite pass: f = y/((x+1)*x^2) on y^2 - x")
     curve = build_curve("y^2 - x", QQ)
     f = build_element("y/(x^2*(x+1))", curve)
-    result = lazy_hermite_reduce(f)
+    result = lazy_hermite_reduce(f, initial_suitable_basis(f.curve))
     h = result.remainder.element()
     print(f"  f = {f}")
     print(f"  g = {result.g_part}")

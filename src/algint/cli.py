@@ -30,7 +30,7 @@ from .errors import (
 )
 from .hermite import lazy_hermite_reduce
 from .parsing import build_curve, build_element, field_for, parse_expression
-from .polyred import additive_decompose
+from .polyred import additive_decompose, on_kept_curve
 from .rings import QT, T_POLY
 from .telescoper import telescope, verify_telescoper
 
@@ -51,7 +51,8 @@ def _setup(args, force_t=False):
 
 def _cmd_reduce(args):
     field, curve, f = _setup(args)
-    res = lazy_hermite_reduce(f)
+    decomposer, f = on_kept_curve(f)
+    res = lazy_hermite_reduce(f, decomposer.initial_basis, decomposer.step_system)
     rem = res.remainder
     if f != res.g_part.dx() + rem.element():
         raise AlgintError("reduction check failed")
@@ -365,6 +366,12 @@ def _add_common(sub):
     )
 
 
+def positive_int(text):
+    if (value := int(text)) < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="algint",
@@ -386,7 +393,7 @@ def build_parser():
     sp.add_argument("--certificate", required=True)
     sp = subs.add_parser("corpus")
     sp.add_argument("path")
-    sp.add_argument("--jobs", type=int, default=1)
+    sp.add_argument("--jobs", type=positive_int, default=1)
     sp.add_argument(
         "--format", choices=["text", "structured"], default="text"
     )

@@ -33,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
-from .algfield import AlgElem, FieldBasis, initial_suitable_basis, make_suitable
+from .algfield import AlgElem, FieldBasis, make_suitable
 from .errors import AlgintError, UpdateCandidatesExhausted
 from .linalg import SolveLeaf, SolveOutcome, solve_mod, vec_mat
 from .rings import Poly, common_denominator, gcd, squarefree_decomposition
@@ -289,17 +289,17 @@ def basis_update(step):
     return theta
 
 
-def lazy_hermite_reduce(f, basis: Optional[FieldBasis] = None, system_of=step_system):
+def lazy_hermite_reduce(f, basis: Optional[FieldBasis], system_of=step_system):
     """Reduce f to g' + h with h having only simple poles.
 
-    f is a field element, reduced from basis (an initial suitable basis
-    when None), or a Presented form, reduced from its own basis.  Returns
-    a HermiteResult carrying the derivative part g, the normalized
-    remainder h, the final (possibly enlarged) basis, and the integral
-    elements the module updates adjoined.  The integrand stays one
-    Presented form, as _present leaves it, from entry to exit: a step's
-    rest is presented from the factorisation it carries, and only a module
-    update presents the current integrand anew, over the enlarged basis.
+    f is a field element, reduced from basis, or a Presented form, reduced
+    from its own basis (basis is then unused).  Returns a HermiteResult
+    carrying the derivative part g, the normalized remainder h, the final
+    (possibly enlarged) basis, and the integral elements the module
+    updates adjoined.  The integrand stays one Presented form, as _present
+    leaves it, from entry to exit: a step's rest is presented from the
+    factorisation it carries, and only a module update presents the
+    current integrand anew, over the enlarged basis.
     Every basis presented over is suitable (make_suitable), so every form
     has gcd(u, v) = 1.  The form left with simple poles becomes the
     Remainder once, at exit.  system_of, which gives the StepSystem of a
@@ -316,7 +316,7 @@ def lazy_hermite_reduce(f, basis: Optional[FieldBasis] = None, system_of=step_sy
         basis = f.basis
         pres = _present(f)
     else:
-        basis = initial_suitable_basis(f.curve) if basis is None else make_suitable(basis)
+        basis = make_suitable(basis)
         pres = present(f, basis)
     g_total = basis.curve.zero()
     adjoined = []

@@ -492,6 +492,7 @@ class _DtData(NamedTuple):
 
 
 KEPT_SYSTEMS = 16
+KEPT_CURVES = 32
 
 
 class Decomposer:
@@ -502,8 +503,8 @@ class Decomposer:
     step_system memoised for the last KEPT_SYSTEMS (basis, den, v, d).
     Each is built on first use and kept once its constructor or function
     returns, so a call interrupted midway leaves nothing half built and one
-    Decomposer can serve every integrand on its curve: telescope keeps one
-    per curve, additive_decompose makes one per call."""
+    Decomposer can serve every integrand on its curve: on_kept_curve keeps
+    one for each of the last KEPT_CURVES curves, for every entry point."""
 
     def __init__(self, curve):
         self.curve = curve
@@ -625,8 +626,7 @@ class Decomposer:
         curve's initial suitable basis when None) or a hermite.Presented
         form.  u and a depend on the final basis alone, so decompositions
         that end on one basis share u, a and the image complement."""
-        if basis is None and not isinstance(f, Presented):
-            basis = self.initial_basis
+        basis = self.initial_basis if basis is None else basis
         her = lazy_hermite_reduce(f, basis, self.step_system)
         w_basis = her.basis
         d, r, s = euclid_split(her.remainder)
@@ -647,9 +647,21 @@ class Decomposer:
         )
 
 
+_kept_decomposer = lru_cache(maxsize=KEPT_CURVES)(lambda curve, lead: Decomposer(curve))
+
+
+def on_kept_curve(f):
+    """The Decomposer kept for f's curve (by its field, m and leading
+    coefficient as given, which scaled_powers reads) among the last
+    KEPT_CURVES, and f rebound onto its curve, whose y' is then kept too."""
+    decomposer = _kept_decomposer(f.curve, f.curve.lead)
+    return decomposer, AlgElem(decomposer.curve, f.poly)
+
+
 def additive_decompose(f):
-    """Decompose f = g' + h with h minimal; convenience entry point."""
-    return Decomposer(f.curve).decompose(f)
+    """Decompose f = g' + h with h minimal, on the kept curve equal to f's."""
+    decomposer, f = on_kept_curve(f)
+    return decomposer.decompose(f)
 
 
 def antiderivative(f):

@@ -24,14 +24,6 @@ representation stays denominator-squarefree, so this never triggers Hermite
 steps) and the derivative part that splits off is folded into the entry's
 gamma.  The certificate is checked from scratch at the end
 (verify_telescoper).
-
-Nothing but the integrand changes between two calls on one curve: the
-basis pair, its D_t matrices and the image complements are the curve's.
-So telescope keeps the Decomposer of the last KEPT_CURVES curves it
-telescoped in the process, in a functools.lru_cache keyed by the curve
-(its field and m) and the leading coefficient as given (scaled_powers
-reads it), and rebinds f onto the kept curve, whose y' per derivation is
-then computed once as well.
 """
 
 from __future__ import annotations
@@ -39,7 +31,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 from .algfield import AlgElem
 from .errors import (
@@ -50,7 +41,7 @@ from .errors import (
     PreconditionError,
 )
 from .linalg import nullspace
-from .polyred import AdditiveDecomp, Decomposer
+from .polyred import AdditiveDecomp, on_kept_curve
 from .rings import QT, common_denominator
 
 
@@ -176,31 +167,21 @@ def verify_telescoper(f, coeffs, certificate):
     return any(coeffs) and apply_telescoper(f, coeffs) == certificate.dx()
 
 
-KEPT_CURVES = 32
-
-
-@lru_cache(maxsize=KEPT_CURVES)
-def _kept_decomposer(curve, lead):
-    """The Decomposer of the curves equal to curve with leading coefficient
-    lead, kept for the last KEPT_CURVES of them."""
-    return Decomposer(curve)
-
-
 def telescope(f, max_order=20):
     """Minimal-order telescoper for f with respect to D_t.
 
     Raises MaxOrderExceeded (with the per-round ranks) if no dependency
     shows up by the requested order, and DomainError for a negative order.
     The returned telescoper is verified against a fresh computation of
-    sum(c_i D_t^i f) before it is returned.  The certificate lies on the
-    kept curve equal to f's, with the same leading coefficient.
+    sum(c_i D_t^i f) before it is returned.  The decompositions use the
+    Decomposer kept for f's curve (polyred.on_kept_curve), so the
+    certificate lies on the kept curve equal to f's.
     """
     if max_order < 0:
         raise DomainError(f"order cap must be >= 0, got {max_order}")
     if f.curve.field != QT:
         raise PreconditionError("telescoping requires the coefficient field QQ(t)")
-    decomposer = _kept_decomposer(f.curve, f.curve.lead)
-    f = AlgElem(decomposer.curve, f.poly)
+    decomposer, f = on_kept_curve(f)
     dec0 = decomposer.decompose(f)
     ledger = RemainderLedger(decomposer, dec0)
     ranks = []

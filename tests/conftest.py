@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import HealthCheck, settings, strategies as st
 
-from algint import telescoper
+from algint import polyred
 from algint.algfield import Curve, FieldBasis, power_basis
 from algint.errors import DomainError
 from algint.linalg import det, mat, transpose, vec_mat
@@ -26,11 +26,11 @@ settings.load_profile("suite")
 
 @pytest.fixture(autouse=True)
 def no_kept_decomposers():
-    """Each test starts and ends with telescope's table of kept Decomposers
-    empty, so call counts and monkeypatches see no data of another test."""
-    telescoper._kept_decomposer.cache_clear()
+    """Each test starts and ends with the table of kept Decomposers empty,
+    so call counts and monkeypatches see no data of another test."""
+    polyred._kept_decomposer.cache_clear()
     yield
-    telescoper._kept_decomposer.cache_clear()
+    polyred._kept_decomposer.cache_clear()
 
 
 @pytest.fixture

@@ -107,7 +107,7 @@ def test_criterion_02_module_updates():
 def test_criterion_03_full_reduction():
     t0 = time.time()
     curve, x, y, one, f = _parabola_data()
-    result = lazy_hermite_reduce(f)
+    result = lazy_hermite_reduce(f, initial_suitable_basis(f.curve))
     h = result.remainder.element()
     g_ref = build_element("-2*y/x", curve)
     checks = [

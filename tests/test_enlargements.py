@@ -132,7 +132,7 @@ def test_each_module_update_calls_the_oracle_once(text, monkeypatch):
     count_calls(monkeypatch, counts, hermite, "basis_update", "updates")
     count_calls(monkeypatch, counts, algfield, "_repair_suitability", "repairs")
     f = build_element("y/x^2", curve)
-    result = lazy_hermite_reduce(f)
+    result = lazy_hermite_reduce(f, initial_suitable_basis(f.curve))
     assert counts["updates"] == len(result.adjoined) >= 1
     assert counts["char_poly"] == counts["updates"] + counts["repairs"]
     assert f == result.g_part.dx() + result.remainder.element()

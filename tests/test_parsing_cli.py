@@ -430,8 +430,8 @@ def test_wrong_derivative_part_fails_its_check(
 
     real = getattr(cli_mod, target)
 
-    def doubled(f):
-        out = real(f)
+    def doubled(*args):
+        out = real(*args)
         g = getattr(out, part)
         return dataclasses.replace(out, **{part: g + g})
 
@@ -923,6 +923,27 @@ def test_corpus_jobs_bounded_by_records(monkeypatch, capsys, tmp_path, records, 
     assert main(["corpus", str(path), "--jobs", jobs]) == 0
     assert _SerialPool.made == workers
     assert f"{records}/{records} ok" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("jobs", ["0", "-2"])
+def test_corpus_refuses_a_job_count_below_one(monkeypatch, capsys, jobs):
+    # refused by argparse: exit 2 with a usage line, before any record runs
+    import concurrent.futures
+
+    import algint.cli as cli_mod
+
+    monkeypatch.setattr(_SerialPool, "made", [])
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _SerialPool)
+    monkeypatch.setattr(cli_mod, "_run_line", None)
+    with pytest.raises(SystemExit) as exc:
+        main(["corpus", str(ROOT / "data" / "desk_corpus.jsonl"), "--jobs", jobs])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert _SerialPool.made == []
+    assert captured.out == ""
+    assert captured.err.startswith("usage: algint corpus")
+    assert f"argument --jobs: must be at least 1, got {jobs}" in captured.err
+    assert "Traceback" not in captured.err
 
 
 def test_corpus_exit_nonzero_on_mismatch(capsys, tmp_path):

@@ -11,12 +11,15 @@ integrability, antiderivatives and telescopers.  Regenerate with
     PYTHONPATH=src python tests/test_reduce_decompose_golden.py
 """
 import contextlib
+import functools
 import io
 import json
 from pathlib import Path
 
-from algint import hermite, polyred
+import pytest
+
 from algint.cli import main
+from algint.polyred import _kept_decomposer
 
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = ROOT / "tests" / "data" / "reduce_decompose.structured.json"
@@ -29,17 +32,22 @@ RECORDS = [
 ]
 
 
+def _structured(command, curve, integrand):
+    """The structured stdout of one subcommand on a curve and integrand."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main([command, "--curve", curve, "--integrand", integrand,
+                     "--format", "structured"])
+    assert code == 0, (curve, integrand, command)
+    return out.getvalue()
+
+
 def _outputs():
     """(record name, subcommand, structured stdout) for every record and
     subcommand."""
     for rec in RECORDS:
         for command in ("reduce", "decompose"):
-            out = io.StringIO()
-            with contextlib.redirect_stdout(out):
-                code = main([command, "--curve", rec["curve"], "--integrand",
-                             rec["integrand"], "--format", "structured"])
-            assert code == 0, (rec["name"], command)
-            yield rec["name"], command, out.getvalue()
+            yield rec["name"], command, _structured(command, rec["curve"], rec["integrand"])
 
 
 def _golden_text(outputs):
@@ -47,22 +55,9 @@ def _golden_text(outputs):
     return "[\n" + ",\n".join(out.rstrip("\n") for _, _, out in outputs) + "\n]\n"
 
 
-def _once_per_curve(monkeypatch, owner, name):
-    real, bases = getattr(owner, name), {}
-
-    def cached(curve):
-        if curve not in bases:
-            bases[curve] = real(curve)
-        return bases[curve]
-
-    monkeypatch.setattr(owner, name, cached)
-
-
-def test_reduce_and_decompose_match_the_frozen_output(monkeypatch):
-    # the initial suitable basis and the basis at infinity depend on the
-    # curve alone, and a seeded curve has three records: build each once
-    _once_per_curve(monkeypatch, hermite, "initial_suitable_basis")
-    _once_per_curve(monkeypatch, polyred, "suitable_at_infinity")
+def test_reduce_and_decompose_match_the_frozen_output():
+    # a seeded curve has three records; its kept Decomposer builds the
+    # initial suitable basis and the basis at infinity once
     outputs = list(_outputs())
     golden = GOLDEN.read_text()
     docs = json.loads(golden)
@@ -70,6 +65,30 @@ def test_reduce_and_decompose_match_the_frozen_output(monkeypatch):
     for (name, command, out), doc in zip(outputs, docs):
         assert json.loads(out) == doc, (name, command)
     assert _golden_text(outputs) == golden
+    assert _kept_decomposer.cache_info().hits
+
+
+@functools.cache
+def _fresh(command, curve, integrand):
+    """The output of a call that finds no kept Decomposer, and leaves none."""
+    _kept_decomposer.cache_clear()
+    try:
+        return _structured(command, curve, integrand)
+    finally:
+        _kept_decomposer.cache_clear()
+
+
+@pytest.mark.parametrize("order", [1, -1], ids=["forward", "reversed"])
+def test_kept_curves_never_change_an_answer(order):
+    # each curve is first met with another integrand in the two orders, so
+    # its kept bases, complements and step systems come from other records
+    runs = [(command, rec["curve"], rec["integrand"])
+            for rec in RECORDS[::order] for command in ("reduce", "decompose", "integrate")]
+    fresh = [_fresh(*run) for run in runs]
+    assert [_structured(*run) for run in runs] == fresh
+    info = _kept_decomposer.cache_info()
+    assert info.currsize == len({rec["curve"] for rec in RECORDS})
+    assert info.hits == len(runs) - info.currsize
 
 
 if __name__ == "__main__":

@@ -10,11 +10,10 @@ from algint.algfield import initial_suitable_basis
 from algint.cli import run_record
 from algint.errors import AlgintError, DomainError, MaxOrderExceeded, PreconditionError
 from algint.parsing import build_curve, build_element
-from algint.polyred import ComplementNV, Decomposer
+from algint.polyred import ComplementNV, Decomposer, _kept_decomposer
 from algint.rings import QQ, QT, T_POLY, common_denominator
 from algint.telescoper import (
     RemainderLedger,
-    _kept_decomposer,
     _normalize_dependency,
     apply_telescoper,
     find_dependency,
