@@ -20,11 +20,12 @@ denominators any antiderivative of the remainder can have.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 from itertools import count
 from math import isqrt, lcm
 from typing import NamedTuple
+from weakref import ref
 
 from .algfield import (
     AlgElem,
@@ -492,6 +493,7 @@ class _DtData(NamedTuple):
 
 
 KEPT_SYSTEMS = 16
+KEPT_IMAGES = 64
 KEPT_CURVES = 32
 
 
@@ -499,12 +501,15 @@ class Decomposer:
     """The data of decompositions over one curve, none of which depends on
     the integrand: the initial suitable basis, the infinity basis V, the
     data of each final basis W and D_t on each pair (W, V), both keyed by
-    W, the image complement per (u, a), and the Hermite step systems, from
-    step_system memoised for the last KEPT_SYSTEMS (basis, den, v, d).
-    Each is built on first use and kept once its constructor or function
-    returns, so a call interrupted midway leaves nothing half built and one
-    Decomposer can serve every integrand on its curve: on_kept_curve keeps
-    one for each of the last KEPT_CURVES curves, for every entry point."""
+    W, the image complement per (u, a), the Hermite step systems, from
+    step_system memoised for the last KEPT_SYSTEMS (basis, den, v, d), and
+    the decompositions of each unit remainder and of its D_t, from which
+    dt_decompose takes every telescoping round, memoised for the last
+    KEPT_IMAGES units (basis, d, k, j).  Each is built on first use and
+    kept once its constructor or function returns, so a call interrupted
+    midway leaves nothing half built and one Decomposer can serve every
+    integrand on its curve: on_kept_curve keeps one for each of the last
+    KEPT_CURVES curves, for every entry point."""
 
     def __init__(self, curve):
         self.curve = curve
@@ -512,6 +517,12 @@ class Decomposer:
         self._complements = {}
         self._dts = {}
         self.step_system = lru_cache(maxsize=KEPT_SYSTEMS)(step_system)
+        # through a weak reference: a bound method would make a cycle, and a
+        # curve dropped from the kept table would wait for the cycle collector
+        this = ref(self)
+        self.unit_image = lru_cache(maxsize=KEPT_IMAGES)(
+            lambda basis, d, k, j: this()._unit_image(basis, d, k, j)
+        )
 
     @cached_property
     def initial_basis(self):
@@ -599,6 +610,76 @@ class Decomposer:
             for c, r in zip(h, vec_mat(h, dtd.nw_num))
         )
         return Presented(dec.basis, big_d * lcm_m, numer, factors)
+
+    def _unit_image(self, basis, d, k, j):
+        """The decompositions of the unit remainder u = (1/d)*x^k*W_j over
+        basis, or u = (1/a)*x^k*V_j when d is None, and of D_t u.
+
+        u is its own decomposition, which is unique, when it has no pole
+        outside e and the form of a remainder: (1/d)*x^k*W_j for d coprime
+        to e (d is squarefree and k < deg d), and (1/a)*x^k*V_j for a
+        standard monomial x^k*e_j when every prime of s = a*tau, for
+        V = (1/tau)*t_num*W, divides e.  The basis at infinity can put into
+        a a prime outside e, as x for y^2 - (x - 1)*(x - t)^3; such a unit
+        is decomposed."""
+        ring, n, data = self.curve.xring, self.curve.n, self._basis_data(basis)
+        row = tuple(ring.monomial(ring.coeff.one, k) if i == j else ring.zero for i in range(n))
+        zeros = (ring.zero,) * n
+        p_nums, q_nums = (zeros, row) if d is None else (row, zeros)
+        unit = AdditiveDecomp(g=self.curve.zero(), basis=basis, d=d or ring.one, p_nums=p_nums,
+                              inf_basis=self.inf_basis, a=data.a, q_nums=q_nums, u=data.u)
+        if d is None:
+            reduced = (k, j) in self.complement(data.u, data.a).standard_monomials() and all(
+                not basis.e % p for p, _ in self._dt_data(basis).s_factors
+            )
+        else:
+            reduced = gcd(d, basis.e).degree == 0
+        own = unit if reduced else self.decompose(unit.remainder_element(), basis=basis)
+        return own, self.decompose(self.dt_remainder(unit))
+
+    def dt_decompose(self, dec):
+        """decompose(dt_remainder(dec)) from the kept images of its units.
+
+        The remainder is h = sum c_k*u_k, c_k in K, over the units
+        (1/a)*x^k*V_j of q_nums and (1/d)*x^k*W_j of p_nums.  D_t is
+        K-semilinear and decompose K-linear, so red(D_t h) =
+        sum c_k'*red(u_k) + sum c_k*red(D_t u_k), derivative parts included;
+        red(u_k) differs from u_k where a*tau has a prime outside e (see
+        _unit_image).  The pole parts add over the lcm of their
+        denominators, which stays squarefree and coprime to e, and the
+        primes that no numerator keeps cancel.  A unit image on an enlarged
+        module is returned as it is: the caller rebases h onto its basis
+        and asks again."""
+        basis, ring = dec.basis, self.curve.xring
+        units = [(c, None, k, j) for j, q in enumerate(dec.q_nums) for k, c in enumerate(q.coeffs)]
+        units += [(c, dec.d, k, j) for j, p in enumerate(dec.p_nums) for k, c in enumerate(p.coeffs)]
+        terms = []
+        for c, d, k, j in units:
+            if c:
+                own, image = self.unit_image(basis, d, k, j)
+                for part in (own, image):
+                    if part.basis != basis:
+                        return part
+                terms += [(c.derivative(), own), (c, image)]
+        zero = (ring.zero,) * self.curve.n
+        g, q_nums, poles = self.curve.zero(), zero, {}
+        for c, part in terms:
+            if c:
+                g = g + c * part.g
+                q_nums = tuple(a + b.scale(c) for a, b in zip(q_nums, part.q_nums))
+                if any(part.p_nums):
+                    rows = poles.get(part.d, zero)
+                    poles[part.d] = tuple(a + b.scale(c) for a, b in zip(rows, part.p_nums))
+        d, p_nums = lcm_many([ring.one, *poles]), zero
+        for den, rows in poles.items():
+            scale = d.exact_div(den)
+            p_nums = tuple(a + scale * b for a, b in zip(p_nums, rows))
+        common = d
+        for p in p_nums:
+            common = gcd(common, p)
+        if common.degree > 0:
+            d, p_nums = d.exact_div(common), tuple(p.exact_div(common) for p in p_nums)
+        return replace(dec, g=g, d=d, p_nums=p_nums, q_nums=q_nums)
 
     def remainder_rows(self, decs):
         """Numerator rows of the remainders of decs, all over one basis W,

@@ -10,20 +10,23 @@ derivative parts so that D_t^r f = gamma_r' + h_r exactly.
 
 The ledger keeps each remainder in the coordinates of its decomposition,
 h = (1/d)*p_nums*W + (1/a)*q_nums*V over the basis pair (W, V), not as a
-field element.  D_t acts on them by basis matrices
-(Decomposer.dt_remainder), which hand the next decomposition the
-presentation of D_t h over W with its denominator already factored, and
-the dependency search reads the coordinates over V
-(Decomposer.remainder_rows): ranks and the normalized dependency do not
-depend on the K(x)-basis they are read in.
+field element.  Each round takes the next remainder from those coordinates
+(Decomposer.dt_decompose): h = sum c_k*u_k with c_k in Q(t) over the unit
+remainders u_k = (1/a)*x^k*V_j and (1/d)*x^k*W_j, and D_t followed by the
+reduction is Q(t)-semilinear, so red(D_t h) = sum c_k'*red(u_k) +
+sum c_k*red(D_t u_k), where each unit's reductions are kept per curve.  A
+round on units seen before takes no Hermite step, complement reduction or
+squarefree factorisation.  The dependency search reads the coordinates
+over V (Decomposer.remainder_rows): ranks and the normalized dependency do
+not depend on the K(x)-basis they are read in.
 
 All entries must share one basis W; u and a follow from W, so they are
-shared with it.  When a decomposition enlarges the module, the whole ledger
-is rebased: every stored remainder is rewritten over the new basis (its
-representation stays denominator-squarefree, so this never triggers Hermite
-steps) and the derivative part that splits off is folded into the entry's
-gamma.  The certificate is checked from scratch at the end
-(verify_telescoper).
+shared with it.  When a unit image ends on an enlarged module, the whole
+ledger is rebased before the round is taken again over the new basis:
+every stored remainder is rewritten over the new basis (its representation
+stays denominator-squarefree, so this never triggers Hermite steps) and the
+derivative part that splits off is folded into the entry's gamma.  The
+certificate is checked from scratch at the end (verify_telescoper).
 """
 
 from __future__ import annotations
@@ -69,14 +72,27 @@ class RemainderLedger:
         if dec.basis is not self.basis:
             self._rebase(dec.basis)
 
+    def next_remainder(self):
+        """The decomposition of D_t h for the newest remainder h, from the
+        kept unit images (Decomposer.dt_decompose).  A unit image that ends
+        on an enlarged module rebases the ledger onto it first."""
+        newest = self.entries[-1]
+        dec = self.decomposer.dt_decompose(newest.dec)
+        while dec.basis != self.basis:
+            self._rebase(dec.basis)
+            dec = self.decomposer.dt_decompose(newest.dec)
+        return dec
+
     def _rebase(self, new_basis):
-        """Rewrite every entry but the newest over the new basis."""
+        """Rewrite every entry not yet over the new basis onto it."""
         if not new_basis.module_contains(self.basis):
             raise ContainmentViolated(
                 "previous basis does not lie in the enlarged module"
             )
         self.basis = new_basis
-        for entry in self.entries[:-1]:
+        for entry in self.entries:
+            if entry.dec.basis is new_basis:
+                continue
             dec = self.decomposer.decompose(entry.dec.remainder_element(), basis=new_basis)
             if dec.basis is not new_basis:
                 # the rebase input has squarefree denominators, so the
@@ -202,7 +218,7 @@ def telescope(f, max_order=20):
         if r >= max_order:
             raise MaxOrderExceeded(max_order, tuple(ranks))
         prev = ledger.entries[-1]
-        dec = decomposer.decompose(decomposer.dt_remainder(prev.dec))
+        dec = ledger.next_remainder()
         gamma = prev.gamma.dt() + dec.g
         ledger.extend(dec, gamma)
         r += 1

@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from algint import hermite
+from algint.algfield import initial_suitable_basis
 from algint.cli import run_record
 from algint.parsing import build_curve, build_element
 from algint.polyred import Decomposer
@@ -103,13 +104,34 @@ PAIRS = {
     "isotrivial-cubic": ("y^3 - x^2 - t", "1/y", None),
     "moving-node": ("y^2 - x*(x-1)*(x+1)*(x-t)^2", "1/y", _moved_basis),
 }
+# more pairs for the telescoping round: the curves of the ROADMAP table up
+# to genus 2, the desk curves, the moving node over its power basis (1, y), on
+# which D_t of a unit can need y/(x - t), and a moving cusp, whose basis at
+# infinity puts the prime x into a but not into e, so that some units
+# (1/a)*x^k*V_j have a pole at 0 that decompose moves into the pole part
+ROUND_PAIRS = dict(
+    PAIRS,
+    **{
+        "genus-2": ("y^2 - x*(x-1)*(x-2)*(x-3)*(x-t)", "1/y", None),
+        "legendre-quartic": ("y^2 - x*(x-1)*(x-t)*(x+t)", "1/y", None),
+        "cubic": ("y^3 - x*(x-1)*(x-t)", "1/y", None),
+        "cubic-singular": ("y^3 - x^2*(x-1)*(x-t)", "1/y", None),
+        "quartic": ("y^4 - x*(x-1)*(x-t)", "1/y", None),
+        "sqrt-shift": ("y^2 - x - t", "y", None),
+        "rational-log": ("y - 1", "1/(x - t)", None),
+        "moving-node-power-basis": (
+            "y^2 - x*(x-1)*(x+1)*(x-t)^2", "1/(x-t)", initial_suitable_basis,
+        ),
+        "moving-cusp": ("y^2 - (x-1)*(x-t)^3", "y", None),
+    },
+)
 _SETUPS = {}
 
 
 def _setup(name):
-    """(decomposer, decomposition) fixing the basis pair of PAIRS[name]."""
+    """(decomposer, decomposition) fixing the basis pair of ROUND_PAIRS[name]."""
     if name not in _SETUPS:
-        text, integrand, start = PAIRS[name]
+        text, integrand, start = ROUND_PAIRS[name]
         curve = build_curve(text, QT)
         decomposer = Decomposer(curve)
         basis = start(curve) if start else None
@@ -177,6 +199,66 @@ def test_known_factorisation_covers_moving_and_fixed_poles():
     for prime, mult in (("x - 2", 1), ("x - t - 1", 2)):
         r = _xpoly(curve, prime)
         assert [k for p, k in pres.factors if not p % r] == [mult]
+
+
+def _round_and_fresh(decomposer, dec):
+    """The ledger of dec after telescope's round from the kept unit images,
+    that round, and the fresh decomposition of D_t of the ledger's newest
+    remainder, which a unit image on an enlarged module has rebased."""
+    ledger = RemainderLedger(decomposer, dec)
+    got = ledger.next_remainder()
+    fresh = decomposer.decompose(decomposer.dt_remainder(ledger.entries[-1].dec))
+    return ledger, got, fresh
+
+
+ROUND_FIELDS = ("basis", "g", "d", "p_nums", "q_nums")
+
+
+@pytest.mark.parametrize("name", ROUND_PAIRS)
+@settings(max_examples=10)
+@given(data=st.data())
+def test_a_round_from_kept_unit_images_is_the_fresh_decomposition(name, data):
+    # random Q(t)-combinations of units, pole parts on fixed and moving
+    # primes included: D_t is Q(t)-semilinear and decompose Q(t)-linear
+    decomposer, rdec = data.draw(remainders(name))
+    _, got, fresh = _round_and_fresh(decomposer, rdec)
+    for field in ROUND_FIELDS:
+        assert getattr(got, field) == getattr(fresh, field), field
+
+
+def test_a_round_drops_a_pole_that_the_unit_terms_cancel():
+    # on y = 1, h = (t*(x - 2) + 1)/((x - 2)*(x - 3)) has D_t h = 1/(x - 3):
+    # the unit terms share the pole at 2 and cancel there, so d loses x - 2
+    decomposer, dec = _setup("rational-log")
+    curve = dec.basis.curve
+    rdec = dataclasses.replace(
+        dec,
+        d=_xpoly(curve, "(x - 2)*(x - 3)"),
+        p_nums=(_xpoly(curve, "t*(x - 2) + 1"),),
+        q_nums=(curve.xring.zero,),
+    )
+    _, got, fresh = _round_and_fresh(decomposer, rdec)
+    assert got.d == _xpoly(curve, "x - 3")
+    for field in ROUND_FIELDS:
+        assert getattr(got, field) == getattr(fresh, field), field
+
+
+def test_a_unit_image_on_an_enlarged_module_rebases_the_ledger_first():
+    # 1/(x - t) decomposes over (1, y) without moving the module, but D_t of
+    # one of its units has a double pole at x = t whose step adjoins y/(x - t)
+    decomposer, dec = _setup("moving-node-power-basis")
+    curve = dec.basis.curve
+    assert [str(w) for w in dec.basis.elements] == ["1", "y"]
+    ledger, got, fresh = _round_and_fresh(decomposer, dec)
+    assert ledger.basis != dec.basis and got.basis is ledger.basis
+    assert [entry.dec.basis for entry in ledger.entries] == [ledger.basis]
+    for field in ROUND_FIELDS:
+        assert getattr(got, field) == getattr(fresh, field), field
+    # the identity D_t^i f = dx(gamma_i) + h_i holds across the rebase
+    ledger.extend(got, ledger.entries[0].gamma.dt() + got.g)
+    f = build_element(ROUND_PAIRS["moving-node-power-basis"][1], curve)
+    for df, entry in zip((f, f.dt()), ledger.entries):
+        assert df == entry.gamma.dx() + entry.dec.remainder_element()
 
 
 @settings(max_examples=8)

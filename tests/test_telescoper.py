@@ -1,5 +1,7 @@
 """Creative telescoping over the parameter field Q(t)."""
 import functools
+import gc
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -329,6 +331,57 @@ def test_a_call_interrupted_inside_a_complement_feed_leaves_nothing_half_built(
     assert _answer(*record) == fresh
 
 
+def test_a_call_interrupted_inside_a_unit_image_keeps_only_finished_images(
+    monkeypatch,
+):
+    # the first call stops inside the image of its second unit, at D_t of
+    # that unit; an image kept half built would hand every later round on
+    # the curve a wrong remainder
+    record = ("y^2 - x*(x - 1)*(x - t)", "1/((x-2)*y)")
+    fresh = _fresh_answer(record)
+    real_image, real_dt = Decomposer._unit_image, Decomposer.dt_remainder
+    finished, armed = [], [True]
+
+    def unit_image(self, *unit):
+        out = real_image(self, *unit)
+        finished.append(unit)
+        return out
+
+    def dt_remainder(self, dec):
+        if armed[0] and finished:
+            armed[0] = False
+            raise Interrupted
+        return real_dt(self, dec)
+
+    monkeypatch.setattr(Decomposer, "_unit_image", unit_image)
+    monkeypatch.setattr(Decomposer, "dt_remainder", dt_remainder)
+    f = build_element(record[1], build_curve(record[0], QT))
+    with pytest.raises(Interrupted):
+        telescope(f)
+    assert not armed[0]
+    images = _kept_decomposer(*_kept_key(record[0])).unit_image
+    assert images.cache_info().currsize == len(finished) == 1
+    assert _answer(*record) == fresh
+    assert images.cache_info().currsize == len(set(finished)) > 1
+
+
+def test_a_decomposer_with_kept_unit_images_is_freed_without_the_cycle_collector():
+    # the kept table drops a curve on almost every integrate record of a
+    # random curve; a Decomposer in a reference cycle would stay in memory
+    # until the cycle collector ran
+    curve = build_curve("y^2 - x*(x - 1)*(x - t)", QT)
+    decomposer = Decomposer(curve)
+    decomposer.dt_decompose(decomposer.decompose(build_element("1/y", curve)))
+    assert decomposer.unit_image.cache_info().currsize > 0
+    dropped = weakref.ref(decomposer)
+    gc.disable()
+    try:
+        del decomposer
+        assert dropped() is None
+    finally:
+        gc.enable()
+
+
 # ---------------------------------------------------------------------------
 # kept Hermite step systems: reuse never changes an answer
 
@@ -362,8 +415,12 @@ def _step_key(pres):
 
 
 def test_kept_step_systems_never_change_an_answer(monkeypatch):
+    # with the unit images kept, a round on a curve seen before takes no
+    # step at all; without them every round steps, as the step systems
+    # are meant to serve
     records = KEPT_STEPS + KEPT_STEPS[::-1] + [MOVING_NODE, MOVING_NODE]
     fresh = [_fresh_answer(record) for record in records]
+    monkeypatch.setattr(polyred, "KEPT_IMAGES", 0)
     log, solves = _logged_steps(monkeypatch)
     assert [_answer(*record) for record in records] == fresh
     assert len(solves) < len(log) / 2
